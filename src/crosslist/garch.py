@@ -8,9 +8,9 @@ Estimation maximizes the conditional log-likelihood over transformed
 parameters: alpha0 through a log map, and (alphas, gammas) jointly through
 a logistic simplex map that keeps every coefficient nonnegative with a sum
 strictly below one, so stationarity and positive variances hold for every
-parameter vector the optimizer can reach.  Returns are rescaled to unit
-residual variance internally and mapped back, which keeps the optimizer's
-tolerances scale-free.
+parameter vector the optimizer can reach.  BFGS runs on the exact score
+(`_loglik`).  Returns are rescaled to unit residual variance internally and
+mapped back, which keeps the optimizer's tolerances scale-free.
 """
 
 from __future__ import annotations
@@ -31,6 +31,13 @@ MIN_OBSERVATIONS = 60
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _BIG = 1e10
 _Z_CLIP = 40.0
+# a lag coefficient or the slack 1 - sum(alphas, gammas) below _FACE sits on a
+# face of the simplex; a trapped one re-enters at _REENTRY_MASS (see _reentry_point)
+_FACE = 1e-4
+_REENTRY_MASS = 1e-3
+_KKT_TOL = 1e-3
+# sup-norm of the transformed-parameter score that counts as a stationary point
+_CONVERGED_GTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,11 @@ class GarchFit:
 
     `std_errors` covers all parameters in the order: mean coefficients
     (intercept, local index, US index), alpha0, alphas, gammas.
+
+    `converged` is True when the BFGS run that counts reported success, or
+    when the sup-norm of the score in the transformed parameters (log
+    alpha0, simplex logits) on the rescaled returns is at most 1e-4 at the
+    returned point.  The homoskedastic closed form is always converged.
     """
 
     mean_coefficients: np.ndarray
@@ -168,18 +180,92 @@ def _encode(beta, alpha0, alphas, gammas) -> np.ndarray:
     return np.concatenate([beta, [np.log(alpha0)], z])
 
 
-def _natural_loglik(params, y, X, q, p, h0) -> float:
-    beta = params[:3]
+def _loglik(params, y, X, q, p, h0, score=False):
+    """Gaussian log-likelihood at natural parameters (beta, alpha0, alphas, gammas).
+
+    The value is nan where alpha0 <= 0 or a conditional variance is not
+    positive and finite.  With `score` the result is (loglik, gradient),
+    the gradient being all nan wherever the value is.  The derivatives of
+    h_t follow the same AR filter as h_t (Fiorentini, Calzolari & Panattoni
+    1996), driven by the derivatives of the driving term; h_1 = h0 and the
+    pre-sample lags are constants, exactly as in `_conditional_variances`.
+    """
     alpha0 = params[3]
     alphas = params[4 : 4 + q]
     gammas = params[4 + q :]
+    invalid = (np.nan, np.full(params.shape[0], np.nan)) if score else np.nan
     if alpha0 <= 0:
-        return np.nan
-    eps = y - X @ beta
+        return invalid
+    eps = y - X @ params[:3]
     h = _conditional_variances(eps, alpha0, alphas, gammas, h0)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        return np.nan
-    return _gaussian_loglik(eps, h)
+        return invalid
+    ll = _gaussian_loglik(eps, h)
+    if not score:
+        return ll
+
+    # D[t, i] = d(driving term at t) / d params[i]; any lag pins h_1 at h0
+    T = eps.shape[0]
+    eps2 = eps * eps
+    ex = eps[:, None] * X
+    D = np.zeros((T, params.shape[0]))
+    D[1 if p or q else 0 :, 3] = 1.0
+    for j in range(1, q + 1):
+        D[j:, :3] -= 2.0 * alphas[j - 1] * ex[: T - j]
+        D[1:j, 3 + j] = h0
+        D[j:, 3 + j] = eps2[: T - j]
+    for k in range(1, p + 1):
+        D[1:k, 3 + q + k] = h0
+        D[k:, 3 + q + k] = h[: T - k]
+    if p:
+        D = lfilter([1.0], np.concatenate([[1.0], -gammas]), D, axis=0)
+    grad = (0.5 * (eps2 / h - 1.0) / h) @ D
+    grad[:3] += (eps / h) @ X
+    return ll, grad
+
+
+def _transformed_loglik(theta, y, X, q, p, h0):
+    """Log-likelihood at transformed parameters and its gradient in them.
+
+    The natural-parameter score is chained through `_decode`'s log and
+    simplex maps.  A clipped coordinate (theta[3] above 60, or z outside
+    +/- _Z_CLIP) has zero gradient, as the decoded parameters do not move.
+    """
+    beta, alpha0, alphas, gammas = _decode(theta, q, p)
+    ll, grad = _loglik(np.concatenate([beta, [alpha0], alphas, gammas]), y, X, q, p, h0, score=True)
+    coefs = np.concatenate([alphas, gammas])
+    gc = grad[4:]
+    out = grad.copy()
+    out[3] = grad[3] * alpha0 if theta[3] <= 60.0 else 0.0
+    out[4:] = np.where(np.abs(theta[4:]) > _Z_CLIP, 0.0, coefs * (gc - coefs @ gc))
+    return ll, out
+
+
+def _reentry_point(theta, y, X, q, p, h0):
+    """Start for a second BFGS run when the first is trapped on a simplex face, else None.
+
+    The simplex map's gradient vanishes on its faces (dc/dz = c(1 - c) -> 0),
+    so BFGS cannot raise a component it has driven to about zero even where
+    the likelihood rises into the interior.  The components are the alphas,
+    the gammas and the slack 1 - sum, whose natural gradient is zero.  One
+    below _FACE is trapped when moving mass onto it from the interior
+    component with the smallest gradient raises the likelihood (a violated
+    Karush-Kuhn-Tucker condition); trapped components restart at
+    _REENTRY_MASS, taken proportionally from the others.
+    """
+    beta, alpha0, alphas, gammas = _decode(theta, q, p)
+    _, grad = _loglik(np.concatenate([beta, [alpha0], alphas, gammas]), y, X, q, p, h0, score=True)
+    s = np.concatenate([alphas, gammas, [1.0 - alphas.sum() - gammas.sum()]])
+    g = np.append(grad[4:], 0.0)
+    on_face = s < _FACE
+    if not on_face.any():
+        return None
+    trapped = on_face & (g > g[~on_face].min() + _KKT_TOL)
+    if not trapped.any():
+        return None
+    s[trapped] = _REENTRY_MASS
+    s[~trapped] *= (1.0 - s[trapped].sum()) / s[~trapped].sum()
+    return _encode(beta, alpha0, s[:q], s[q:-1])
 
 
 def _numerical_hessian(f, x, rel_step=1e-4) -> np.ndarray:
@@ -202,7 +288,7 @@ def _numerical_hessian(f, x, rel_step=1e-4) -> np.ndarray:
 
 
 def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
-    H = _numerical_hessian(lambda v: _natural_loglik(v, y, X, q, p, h0), params)
+    H = _numerical_hessian(lambda v: _loglik(v, y, X, q, p, h0), params)
     if not np.all(np.isfinite(H)):
         return np.full(params.shape[0], np.nan)
     try:
@@ -219,9 +305,16 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
 
     Inputs may be ReturnSeries or plain arrays; all three must be aligned
     and of equal length >= 60.  With p = q = 0 the result is the exact
-    homoskedastic MLE (OLS coefficients, constant variance RSS/n).  If the
-    optimizer exhausts its iteration budget the best fit found is still
-    returned with converged=False.
+    homoskedastic MLE (OLS coefficients, constant variance RSS/n).
+
+    Otherwise BFGS with the analytic score maximizes the likelihood from a
+    fixed start.  One second run follows when the first stops trapped on a
+    face of the simplex (see `_reentry_point`) or without success; the
+    better run counts.  The best point evaluated is returned, so the
+    likelihood never falls below the start's.  `converged` is True when the
+    run that counts reported success, or when the sup-norm of the
+    transformed-parameter score at the returned point is at most 1e-4; a
+    fit that stops short is still returned, with converged=False.
     """
     yv = _series_values(y)
     loc = _series_values(local_index)
@@ -280,34 +373,34 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
 
     best_f = np.inf
     best_x = theta0.copy()
+    best_g = np.zeros_like(theta0)
 
-    def objective(theta: np.ndarray) -> float:
-        nonlocal best_f, best_x
-        beta, a0, al, ga = _decode(theta, q, p)
-        eps = ys - Xs @ beta
-        h = _conditional_variances(eps, a0, al, ga, h0s)
-        if not np.all(np.isfinite(h)) or np.any(h <= 0):
-            return _BIG
-        ll = _gaussian_loglik(eps, h)
-        if not np.isfinite(ll):
-            return _BIG
-        f = -ll
-        if f < best_f:
-            best_f = f
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best_f, best_x, best_g
+        ll, grad = _transformed_loglik(theta, ys, Xs, q, p, h0s)
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return _BIG, np.zeros_like(theta)
+        if -ll < best_f:
+            best_f = -ll
             best_x = theta.copy()
-        return f
+            best_g = -grad
+        return -ll, -grad
 
-    if objective(theta0) >= _BIG:
+    if objective(theta0)[0] >= _BIG:
         raise NonFiniteLikelihood("log-likelihood is not finite at the starting point")
 
-    res_qn = minimize(objective, theta0, method="BFGS", options={"maxiter": 500, "gtol": 1e-7})
-    res_nm = minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options={"maxiter": 500, "fatol": 1e-8, "xatol": 1e-8},
-    )
-    converged = bool(res_qn.success or res_nm.success)
+    options = {"maxiter": 500, "gtol": 1e-7}
+    res = minimize(objective, theta0, method="BFGS", jac=True, options=options)
+    # one fresh run when the first is trapped on a simplex face or stalled
+    # (a failed line search on a stale inverse Hessian); the better run counts
+    start = _reentry_point(best_x, ys, Xs, q, p, h0s)
+    if start is not None or not res.success:
+        retry = minimize(
+            objective, best_x if start is None else start, method="BFGS", jac=True, options=options
+        )
+        if retry.fun < res.fun:
+            res = retry
+    converged = bool(res.success) or float(np.max(np.abs(best_g))) <= _CONVERGED_GTOL
 
     beta_hat_s, alpha0_s, alphas_hat, gammas_hat = _decode(best_x, q, p)
     mean_coefficients = beta_hat_s.copy()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, minimize
 
 from crosslist.errors import NonStationaryParameters, SeriesTooShort
 from crosslist.garch import (
@@ -9,7 +10,11 @@ from crosslist.garch import (
     GarchSimConfig,
     GarchSpec,
     _conditional_variances,
+    _decode,
+    _encode,
     _gaussian_loglik,
+    _loglik,
+    _transformed_loglik,
     fit_garch_market_model,
     select_lags,
     simulate_garch,
@@ -71,6 +76,67 @@ class TestConditionalVariances:
         assert np.all(h > 0)
 
 
+def central_difference(f, x, rel=1e-6):
+    g = np.empty_like(x)
+    for i in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[i] = rel * max(abs(x[i]), 1.0)
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * e[i])
+    return g
+
+
+SPECS = [(p, q) for p in range(3) for q in range(3)]
+
+
+class TestScore:
+    # unit-scale returns, as the optimizer sees them, with h0 away from 1
+    H0 = 1.3
+
+    @staticmethod
+    def window():
+        rng = np.random.default_rng(61)
+        X = np.column_stack([np.ones(91), rng.standard_normal(91), rng.standard_normal(91)])
+        return X @ [0.1, 0.5, -0.3] + rng.standard_normal(91), X
+
+    @staticmethod
+    def natural_point(p, q):
+        return np.concatenate([[0.05, 0.45, -0.25, 0.2], [0.12, 0.06][:q], [0.55, 0.15][:p]])
+
+    @pytest.mark.parametrize("p,q", SPECS)
+    def test_natural_score_matches_central_differences(self, p, q):
+        y, X = self.window()
+        params = self.natural_point(p, q)
+        ll, grad = _loglik(params, y, X, q, p, self.H0, score=True)
+        assert ll == _loglik(params, y, X, q, p, self.H0)
+        numeric = central_difference(lambda v: _loglik(v, y, X, q, p, self.H0), params)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("p,q", SPECS)
+    def test_transformed_score_matches_central_differences(self, p, q):
+        y, X = self.window()
+        params = self.natural_point(p, q)
+        theta = _encode(params[:3], params[3], params[4 : 4 + q], params[4 + q :])
+        _, grad = _transformed_loglik(theta, y, X, q, p, self.H0)
+        numeric = central_difference(
+            lambda t: _transformed_loglik(t, y, X, q, p, self.H0)[0], theta
+        )
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+    def test_clipped_coordinates_have_zero_gradient(self):
+        y, X = self.window()
+        params = self.natural_point(2, 2)
+        theta = _encode(params[:3], params[3], params[4:6], params[6:])
+        theta[3] = 61.0  # log alpha0 beyond its cap of 60
+        theta[4] = -45.0  # alphas[0] logit beyond the clip
+        _, grad = _transformed_loglik(theta, y, X, 2, 2, self.H0)
+        assert grad[3] == 0.0 and grad[4] == 0.0
+        numeric = central_difference(
+            lambda t: _transformed_loglik(t, y, X, 2, 2, self.H0)[0], theta
+        )
+        assert numeric[3] == 0.0 and numeric[4] == 0.0
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+
 class TestDegenerateSpec:
     def test_matches_homoskedastic_mle(self):
         rng = np.random.default_rng(5)
@@ -130,6 +196,71 @@ class TestFitRecovery:
             assert abs(fit.gammas[0] - 0.8) < 0.05
             assert np.all(fit.conditional_variances > 0)
             assert fit.persistence < 1.0
+            assert fit.converged
+
+    def test_not_converged_when_optimizer_fails_without_moving(self, monkeypatch):
+        def stalled(fun, x0, **kwargs):
+            f, g = fun(x0)
+            return OptimizeResult(x=x0, fun=f, jac=g, success=False, nfev=1, message="stalled")
+
+        monkeypatch.setattr("crosslist.garch.minimize", stalled)
+        rng = np.random.default_rng(13)
+        loc, us = make_indexes(rng, 3000)
+        sim = simulate_garch(sim_config(3000, seed=101, alpha0=4e-5), loc, us)
+        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+        assert not fit.converged
+        assert fit.alphas[0] == pytest.approx(0.05) and fit.gammas[0] == pytest.approx(0.90)
+
+    def test_lag_trapped_on_simplex_face_reenters(self):
+        # one BFGS run drives alphas[0] to 1 and leaves gammas[1] near 1e-10,
+        # where the simplex map's gradient vanishes though the likelihood
+        # still rises into the interior (by 0.9 at the re-entered fit)
+        rng = np.random.default_rng(8)
+        loc, us = make_indexes(rng, 91)
+        sim = simulate_garch(sim_config(91, seed=8), loc, us)
+        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(2, 2))
+        assert fit.gammas[1] > 0.05
+
+    def test_stalled_run_restarts(self):
+        # one BFGS run ends on a failed line search, 0.24 short in log-likelihood
+        rng = np.random.default_rng(9)
+        loc, us = make_indexes(rng, 91)
+        sim = simulate_garch(sim_config(91, seed=9), loc, us)
+        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
+        assert fit.converged
+
+    def test_no_local_ascent_left_at_fitted_point(self):
+        # gradient-free oracle: Nelder-Mead in the optimizer's coordinates,
+        # started at each returned point, must not find a higher likelihood;
+        # the panel holds a simplex-face trap (window 22, spec (2, 2)) that
+        # a single BFGS run leaves 0.19 short
+        rng = np.random.default_rng(67)
+        worst = 0.0
+        for w in range(24):
+            loc, us = make_indexes(rng, 91)
+            if w % 2 == 0:
+                y = simulate_garch(sim_config(91, seed=1100 + w), loc, us).values
+            else:
+                y = 0.0002 + 0.6 * loc + 0.3 * us + 0.02 * rng.standard_normal(91)
+            X = np.column_stack([np.ones(91), loc, us])
+            h0 = float(ols_fit(y, [loc, us]).residuals.var(ddof=1))
+            for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                fit = fit_garch_market_model(y, loc, us, GarchSpec(p, q))
+                with np.errstate(divide="ignore"):
+                    theta = _encode(fit.mean_coefficients, fit.alpha0, fit.alphas, fit.gammas)
+                theta[4:] = np.clip(theta[4:], -40.0, 40.0)
+
+                def negll(t):
+                    beta, a0, al, ga = _decode(t, q, p)
+                    v = _loglik(np.concatenate([beta, [a0], al, ga]), y, X, q, p, h0)
+                    return -v if np.isfinite(v) else np.inf
+
+                nm = minimize(
+                    negll, theta, method="Nelder-Mead",
+                    options={"maxiter": 500, "fatol": 1e-8, "xatol": 1e-8},
+                )
+                worst = max(worst, -nm.fun - fit.log_likelihood)
+        assert worst <= 1e-6
 
     def test_standardized_residuals_unit_variance(self):
         rng = np.random.default_rng(17)
