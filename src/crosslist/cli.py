@@ -262,13 +262,11 @@ def _mean_annual_yield_as_period_rate(path: Path, period: str) -> float:
     return float(np.mean(rates.values)) / 100.0 / PERIODS_PER_YEAR[period]
 
 
-def _capm_class_row(label: str, prices_path: Path, index_path: Path, rf_path: Path | None,
-                    period: str) -> list:
-    if rf_path is None:
+def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float | None) -> list:
+    if rf is None:
         raise ConfigError(f"class {label}: no risk-free series configured")
     stock = replace(market_data.load_prices(prices_path, Currency.OTHER), instrument_id="stock")
-    index = replace(market_data.load_prices(index_path, Currency.OTHER), instrument_id="index")
-    panel = align([stock, index])
+    panel = align([stock, replace(index, instrument_id="index")])
     closes = panel.series_by_id
     y = np.diff(np.log(closes["stock"]))
     x = np.diff(np.log(closes["index"]))
@@ -280,7 +278,6 @@ def _capm_class_row(label: str, prices_path: Path, index_path: Path, rf_path: Pa
             dw = durbin_watson(fit.residuals)
         except CrosslistError:
             dw = float("nan")
-    rf = _mean_annual_yield_as_period_rate(rf_path, period)
     market_mean = float(np.mean(x))
     capm = capm_expected_return(float(fit.betas[0]), rf, market_mean)
     se = fit.std_errors
@@ -295,7 +292,11 @@ def _capm_class_row(label: str, prices_path: Path, index_path: Path, rf_path: Pa
 
 
 def cmd_capm(config: RunConfig) -> int:
-    """Estimate the market model and CAPM expected return per share class."""
+    """Estimate the market model and CAPM expected return per share class.
+
+    A bad index or risk-free series is an input error (exit 2); a class
+    whose own price file fails, or whose estimation fails, is skipped.
+    """
     classes = []
     if config.capm_a_prices is not None:
         classes.append(("A", config.capm_a_prices, config.local_index_path, config.local_risk_free_path))
@@ -311,7 +312,13 @@ def cmd_capm(config: RunConfig) -> int:
             _warn(f"class {label} skipped: no index series configured")
             continue
         try:
-            rows.append(_capm_class_row(label, prices_path, index_path, rf_path, config.period))
+            index = market_data.load_prices(index_path, Currency.OTHER)
+            rf = None if rf_path is None else _mean_annual_yield_as_period_rate(rf_path, config.period)
+        except (CrosslistError, OSError) as exc:
+            _warn(f"error: class {label}: {exc}")
+            return 2
+        try:
+            rows.append(_capm_class_row(label, prices_path, index, rf))
         except (CrosslistError, OSError) as exc:
             _warn(f"class {label} skipped: {exc}")
     if not rows:

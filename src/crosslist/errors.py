@@ -11,6 +11,10 @@ class MissingField(CrosslistError):
     """A required column or cell is absent or malformed; message names the row."""
 
 
+class UndecodableFile(CrosslistError):
+    """An input file is not valid UTF-8 text; message names the file."""
+
+
 class NonPositiveMarketCap(CrosslistError):
     pass
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .errors import NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
 from .linear_models import ols_fit
@@ -132,6 +132,25 @@ def _series_values(x) -> np.ndarray:
     return np.asarray(x, dtype=float).ravel()
 
 
+def _variance_filter(gammas, x) -> np.ndarray:
+    """Apply the variance AR filter: y_t = x_t + sum_k gammas[k-1] * y_{t-k}.
+
+    Equal to `lfilter([1], [1, -gammas], x, axis=0)` with zero initial
+    state; `x` is a series of length T or a T x k matrix filtered column by
+    column.  Solved as the unit-lower-triangular banded system L y = x in
+    LAPACK band storage: row k of `ab` holds -gammas[k-1], the k-th
+    subdiagonal of L (LAPACK reads its first T - k entries), and row 0 the
+    unit diagonal, which `diag="U"` leaves unread.
+    """
+    ab = np.empty((len(gammas) + 1, x.shape[0]), order="F")
+    ab[0] = 1.0
+    ab[1:] = -np.asarray(gammas, dtype=float)[:, None]
+    y, info = dtbtrs(ab, x, uplo="L", diag="U")
+    if info != 0:
+        raise ValueError(f"dtbtrs failed with info={info}")
+    return y
+
+
 def _conditional_variances(eps, alpha0, alphas, gammas, h0) -> np.ndarray:
     """Variance recursion with pre-sample squared errors and variances pinned at h0.
 
@@ -155,10 +174,7 @@ def _conditional_variances(eps, alpha0, alphas, gammas, h0) -> np.ndarray:
     drive[0] = h0
     if p == 0:
         return drive
-    ar = np.empty(p + 1)
-    ar[0] = 1.0
-    ar[1:] = -np.asarray(gammas, dtype=float)
-    return lfilter([1.0], ar, drive)
+    return _variance_filter(gammas, drive)
 
 
 def _gaussian_loglik(eps, h) -> float:
@@ -208,7 +224,7 @@ def _loglik(params, y, X, q, p, h0, score=False):
     T = eps.shape[0]
     eps2 = eps * eps
     ex = eps[:, None] * X
-    D = np.zeros((T, params.shape[0]))
+    D = np.zeros((T, params.shape[0]), order="F")  # LAPACK's layout, for _variance_filter
     D[1 if p or q else 0 :, 3] = 1.0
     for j in range(1, q + 1):
         D[j:, :3] -= 2.0 * alphas[j - 1] * ex[: T - j]
@@ -218,7 +234,7 @@ def _loglik(params, y, X, q, p, h0, score=False):
         D[1:k, 3 + q + k] = h0
         D[k:, 3 + q + k] = h[: T - k]
     if p:
-        D = lfilter([1.0], np.concatenate([[1.0], -gammas]), D, axis=0)
+        D = _variance_filter(gammas, D)
     grad = (0.5 * (eps2 / h - 1.0) / h) @ D
     grad[:3] += (eps / h) @ X
     return ll, grad

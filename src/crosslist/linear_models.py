@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .errors import (
     AllZeroResiduals,
@@ -182,7 +182,7 @@ def breusch_godfrey(fit: OlsFit, regressors, lags: int = 1) -> BreuschGodfreyRes
     return BreuschGodfreyResult(
         lm_statistic=float(lm),
         lags=lags,
-        p_value=float(stats.chi2.sf(lm, lags)),
+        p_value=float(chdtrc(lags, lm)),
     )
 
 

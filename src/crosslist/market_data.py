@@ -2,13 +2,14 @@
 
 All loaders validate hard and fail with an error that names the offending
 row, so a batch run never silently drops or patches bad input.  Numeric
-cells accept a decimal comma (normalized to a decimal point at ingest);
-dates must be ISO-8601.
+cells accept a decimal comma (normalized to a decimal point at ingest) and
+must be finite; dates must be ISO-8601; files must be UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
@@ -25,6 +26,7 @@ from .errors import (
     MissingField,
     NonPositiveMarketCap,
     NonPositivePrice,
+    UndecodableFile,
     UnparsableDate,
     UnsortedInputAfterParse,
 )
@@ -144,8 +146,13 @@ def _to_date(text: str) -> date:
 
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[list[str]]:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError:
+        raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
+    except csv.Error as exc:
+        raise MissingField(f"{path}: malformed CSV: {exc}") from None
     if not rows:
         raise MissingField(f"{path}: file is empty, expected header {','.join(expected_header)}")
     header = [c.strip().lower() for c in rows[0]]
@@ -162,7 +169,7 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
 
     Raises MissingField, NonPositiveMarketCap, DuplicateCode, or
     UnparsableDate; each message names the offending data row (1-based,
-    excluding the header).
+    excluding the header).  Raises UndecodableFile if the file is not UTF-8.
     """
     rows = _read_rows(path, MANIFEST_COLUMNS)
     records: list[InstrumentRecord] = []
@@ -178,6 +185,8 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
             cap = _to_float(cap_text)
         except ValueError:
             raise MissingField(f"row {i}: market_cap_usd {cap_text!r} is not a number") from None
+        if not math.isfinite(cap):
+            raise MissingField(f"row {i}: market_cap_usd {cap_text!r} is not a finite number")
         if cap <= 0:
             raise NonPositiveMarketCap(f"row {i}: market_cap_usd must be > 0, got {cap_text!r}")
         try:
@@ -235,7 +244,14 @@ def _load_dated_values(
                 )
         dates.append(d)
         values.append(v)
-    return tuple(dates), np.asarray(values, dtype=float)
+    array = np.asarray(values, dtype=float)
+    nonfinite = ~np.isfinite(array)
+    if nonfinite.any():
+        i = int(np.argmax(nonfinite))
+        raise MissingField(
+            f"{path}: row {i + 1}: {columns[1]} {rows[i][1]!r} is not a finite number"
+        )
+    return tuple(dates), array
 
 
 def load_prices(path: str | Path, currency: Currency = Currency.USD) -> PriceSeries:

@@ -11,7 +11,7 @@ from datetime import date
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats
+from scipy.special import fdtr, fdtrc
 
 from .errors import DegenerateSample, SeriesTooShort, WindowTooLarge
 from .market_data import PriceSeries
@@ -93,8 +93,8 @@ def variance_f_test(sample_a, sample_b) -> FTestResult:
     ratio = var_a / var_b
     df_num = a.size - 1
     df_den = b.size - 1
-    cdf = stats.f.cdf(ratio, df_num, df_den)
-    sf = stats.f.sf(ratio, df_num, df_den)
+    cdf = fdtr(df_num, df_den, ratio)
+    sf = fdtrc(df_num, df_den, ratio)
     p = float(np.clip(2.0 * min(cdf, sf), 0.0, 1.0))
     return FTestResult(
         ratio=ratio,

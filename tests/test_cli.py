@@ -3,12 +3,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crosslist
 from crosslist.cli import generate_bundle, load_config, main
 from crosslist.market_data import PriceSeries, write_prices
 
@@ -63,6 +67,23 @@ class TestSimulate:
         assert main(["simulate", "--out", str(blocker / "sub"), "--seed", "1"]) == 2
 
 
+class TestImportFootprint:
+    def test_cli_import_skips_scipy_stats_and_signal(self):
+        # a fresh interpreter, so modules loaded by this test session do not count
+        code = (
+            "import sys, crosslist.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'signal'])))"
+        )
+        src = str(Path(crosslist.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestValidate:
     def test_complete_bundle(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -90,6 +111,15 @@ class TestValidate:
 
     def test_missing_config(self):
         assert main(["validate", "--config", "/nonexistent/run.ini"]) == 2
+
+    def test_non_utf8_price_file(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        main(["simulate", "--out", str(out), "--seed", "7"])
+        path = out / "prices_F03.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert main(["validate", "--config", str(out / "run.ini")]) == 2
+        err = capsys.readouterr().err
+        assert "prices_F03.csv: not valid UTF-8 text" in err
 
 
 class TestCapm:
@@ -145,6 +175,18 @@ class TestCapm:
     def test_no_classes_configured(self, tmp_path):
         (tmp_path / "run.ini").write_text("[data]\n", encoding="utf-8")
         assert main(["capm", "--config", str(tmp_path / "run.ini")]) == 2
+
+    def test_nan_yield_is_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, 120)))
+        closes = np.concatenate([[100.0], closes])
+        config = self._write_bundle(tmp_path, closes, closes)
+        (tmp_path / "rf.csv").write_text(
+            "date,annual_yield_pct\n2006-01-02,3.0\n2006-02-01,nan\n", encoding="utf-8"
+        )
+        assert main(["capm", "--config", str(config)]) == 2
+        assert "row 2: annual_yield_pct 'nan' is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "capm.csv").exists()
 
     def test_broken_class_skipped_other_kept(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
@@ -272,6 +314,18 @@ class TestEventStudy:
         assert main(["event-study", "--config", str(out / "run.ini")]) == 0
         captured = capsys.readouterr()
         assert "F01 skipped" in captured.err
+        summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["n_firms_analyzed"] == 2
+        assert "F01" in summary["skipped"]
+
+    def test_non_utf8_price_file_skips_firm(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=3, n_days=300, effect=0.0, seed=41)
+        path = out / "prices_F01.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert main(["event-study", "--config", str(out / "run.ini")]) == 0
+        err = capsys.readouterr().err
+        assert "F01 skipped" in err and "not valid UTF-8 text" in err
         summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
         assert summary["n_firms_analyzed"] == 2
         assert "F01" in summary["skipped"]

@@ -15,6 +15,7 @@ from crosslist.garch import (
     _gaussian_loglik,
     _loglik,
     _transformed_loglik,
+    _variance_filter,
     fit_garch_market_model,
     select_lags,
     simulate_garch,
@@ -74,6 +75,31 @@ class TestConditionalVariances:
         eps = rng.standard_normal(200)
         h = _conditional_variances(eps, 1e-6, [0.1], [0.85], 0.5)
         assert np.all(h > 0)
+
+
+class TestVarianceFilter:
+    @staticmethod
+    def naive(gammas, x):
+        # independent oracle: y_t = x_t + sum_k gammas[k-1] * y_{t-k}, zero before t = 0
+        y = np.array(x, dtype=float)
+        for t in range(y.shape[0]):
+            for k in range(1, len(gammas) + 1):
+                if t - k >= 0:
+                    y[t] = y[t] + gammas[k - 1] * y[t - k]
+        return y
+
+    @pytest.mark.parametrize("gammas", [[0.85], [0.6, 0.3]])
+    @pytest.mark.parametrize("T", [1, 2, 3, 91])
+    @pytest.mark.parametrize("columns", [None, 9])
+    def test_matches_plain_recursion(self, gammas, T, columns):
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal(T if columns is None else (T, columns))
+        got = _variance_filter(np.array(gammas), x)
+        assert got.shape == x.shape
+        # componentwise bound of a triangular solve: 1e-15 relative to the
+        # recursion run on |x|, as signed inputs cancel
+        scale = self.naive(gammas, np.abs(x))
+        assert np.all(np.abs(got - self.naive(gammas, x)) <= 1e-15 * scale)
 
 
 def central_difference(f, x, rel=1e-6):

@@ -1,5 +1,6 @@
 """OLS fits, autocorrelation diagnostics, CAPM, and forecast standard errors."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -138,6 +139,20 @@ class TestBreuschGodfrey:
             if breusch_godfrey(fit, regs, lags=1).p_value < 0.01:
                 strong += 1
         assert strong / 100 > 0.95
+
+    @pytest.mark.parametrize(
+        "seed, n, rho, lags",
+        [(61, 200, 0.0, 1), (62, 200, 0.0, 2), (63, 120, 0.4, 3), (64, 300, 0.6, 1), (65, 500, 0.9, 2)],
+    )
+    def test_p_value_matches_incomplete_gamma_oracle(self, seed, n, rho, lags):
+        # chi-squared survival function Q(lags/2, LM/2), at 50 digits; the five
+        # points give p-values from 0.56 down to 7e-83
+        fit, regs = self._fit(np.random.default_rng(seed), n, rho)
+        result = breusch_godfrey(fit, regs, lags=lags)
+        with mp.workdps(50):
+            half_lm = mp.mpf(result.lm_statistic) / 2
+            expected = float(mp.gammainc(mp.mpf(lags) / 2, half_lm, mp.inf, regularized=True))
+        assert result.p_value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_zero_residuals_propagates(self):
         x = np.arange(10.0)

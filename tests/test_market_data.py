@@ -13,6 +13,7 @@ from crosslist.errors import (
     MissingField,
     NonPositiveMarketCap,
     NonPositivePrice,
+    UndecodableFile,
     UnparsableDate,
     UnsortedInputAfterParse,
 )
@@ -126,6 +127,17 @@ class TestLoadManifest:
         with pytest.raises(MissingField, match="schema"):
             load_manifest(path)
 
+    def test_nan_market_cap(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            MANIFEST_HEADER
+            + "\nFirm,600001,AAA,Energy,1e9,2007-01-15,1997-01-15,p.csv"
+            + "\nFirm2,600002,BBB,Energy,nan,2007-01-15,1997-01-15,q.csv\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MissingField, match="row 2: market_cap_usd 'nan' is not a finite"):
+            load_manifest(path)
+
 
 class TestLoadPrices:
     def test_two_rows(self, tmp_path):
@@ -176,6 +188,27 @@ class TestLoadPrices:
         assert loaded.closes.tolist() == series.closes.tolist()  # exact round trip
 
 
+    def test_nan_close_names_first_bad_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "date,close\n2007-01-08,1\n2007-01-09,nan\n2007-01-10,inf\n", encoding="utf-8"
+        )
+        with pytest.raises(MissingField, match="row 2: close 'nan' is not a finite number"):
+            load_prices(path)
+
+    def test_oversized_field_names_the_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('date,close\n2007-01-08,"' + "1" * 200_000 + '"\n', encoding="utf-8")
+        with pytest.raises(MissingField, match="p.csv: malformed CSV"):
+            load_prices(path)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"date,close\n2007-01-08,1\n2007-01-09,\xff2\n")
+        with pytest.raises(UndecodableFile, match="p.csv"):
+            load_prices(path)
+
+
 class TestRateLoaders:
     def test_fx(self, tmp_path):
         path = tmp_path / "fx.csv"
@@ -187,6 +220,18 @@ class TestRateLoaders:
         path = tmp_path / "rf.csv"
         path.write_text("date,annual_yield_pct\n2007-01-08,-0.2\n", encoding="utf-8")
         assert load_risk_free(path).values[0] == pytest.approx(-0.2)
+
+    def test_inf_fx_rate(self, tmp_path):
+        path = tmp_path / "fx.csv"
+        path.write_text("date,rate\n2007-01-08,0.128\n2007-01-09,inf\n", encoding="utf-8")
+        with pytest.raises(MissingField, match="row 2: rate 'inf' is not a finite number"):
+            load_fx(path)
+
+    def test_nan_risk_free_yield(self, tmp_path):
+        path = tmp_path / "rf.csv"
+        path.write_text("date,annual_yield_pct\n2007-01-08,NaN\n", encoding="utf-8")
+        with pytest.raises(MissingField, match="row 1: annual_yield_pct 'NaN' is not a finite"):
+            load_risk_free(path)
 
     def test_convert_to_usd(self, tmp_path):
         dates = weekday_dates(date(2007, 1, 8), 3)

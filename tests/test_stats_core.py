@@ -2,6 +2,7 @@
 
 from datetime import date
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -112,6 +113,36 @@ class TestVarianceFTest:
             ba = variance_f_test(b, a)
             assert ab.ratio * ba.ratio == pytest.approx(1.0, abs=1e-12)
             assert ab.p_value == pytest.approx(ba.p_value, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, target",
+        [
+            (2, 2, 0.7),
+            (10, 20, 0.2),
+            (10, 20, 3.5),
+            (60, 60, 1.3),
+            (30, 90, 0.05),
+            (90, 30, 12.0),
+            (250, 250, 0.5),
+        ],
+    )
+    def test_p_value_matches_incomplete_beta_oracle(self, n_a, n_b, target):
+        # P(F <= f) = I_x(d1/2, d2/2) with x = d1 f / (d1 f + d2), at 50 digits;
+        # ratios on both sides of 1, p-values from 0.89 down to 2e-13
+        rng = np.random.default_rng(n_a * 1000 + n_b)
+        a = rng.standard_normal(n_a)
+        b = rng.standard_normal(n_b)
+        a = (a - a.mean()) / a.std(ddof=1) * np.sqrt(target)
+        b = (b - b.mean()) / b.std(ddof=1)
+        result = variance_f_test(a, b)
+        assert result.ratio == pytest.approx(target, rel=1e-12)
+        d1, d2 = n_a - 1, n_b - 1
+        with mp.workdps(50):
+            f = mp.mpf(result.ratio)
+            cdf = mp.betainc(mp.mpf(d1) / 2, mp.mpf(d2) / 2, 0, d1 * f / (d1 * f + d2), regularized=True)
+            sf = mp.betainc(mp.mpf(d2) / 2, mp.mpf(d1) / 2, 0, d2 / (d1 * f + d2), regularized=True)
+            expected = float(min(1, 2 * min(cdf, sf)))
+        assert result.p_value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateSample):
