@@ -34,7 +34,6 @@ from .garch import GarchSimConfig, GarchSpec, MAX_VARIANCE_LAGS, simulate_garch
 from .linear_models import (
     capm_expected_return,
     classify_durbin_watson,
-    diagnostics_report,
     durbin_watson,
     ols_fit,
 )
@@ -267,9 +266,8 @@ def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float
         raise ConfigError(f"class {label}: no risk-free series configured")
     stock = replace(market_data.load_prices(prices_path, Currency.OTHER), instrument_id="stock")
     panel = align([stock, replace(index, instrument_id="index")])
-    closes = panel.series_by_id
-    y = np.diff(np.log(closes["stock"]))
-    x = np.diff(np.log(closes["index"]))
+    returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
+    y, x = returns["stock"], returns["index"]
     fit = ols_fit(y, [x])
     if fit.s2 == 0.0:
         dw = float("nan")  # exact fit: the statistic is 0/0
@@ -386,12 +384,11 @@ def cmd_event_study(config: RunConfig) -> int:
                 prices = market_data.convert_to_usd(prices, fx)
             panel = align([prices, local_prices, us_prices])
             frame = build_event_frame(panel, rec.us_listing_date)
-            closes = panel.series_by_id
-            ret_dates = panel.common_dates[1:]
-            returns = np.diff(np.log(closes[prices.instrument_id]))
-            loc_ret = np.diff(np.log(closes[local_prices.instrument_id]))
-            us_ret = np.diff(np.log(closes[us_prices.instrument_id]))
-            offsets = _event_offsets(frame, ret_dates)
+            panel_returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
+            returns = panel_returns[prices.instrument_id]
+            loc_ret = panel_returns[local_prices.instrument_id]
+            us_ret = panel_returns[us_prices.instrument_id]
+            offsets = _event_offsets(frame, panel.common_dates[1:])
             if offsets.min() > needed.lo or offsets.max() < needed.hi:
                 raise CrosslistError(
                     f"coverage [{offsets.min()}, {offsets.max()}] does not span "
@@ -401,11 +398,7 @@ def cmd_event_study(config: RunConfig) -> int:
                 firm_id, returns, loc_ret, us_ret, offsets, windows,
                 weight=1.0, max_p=config.max_p, max_q=config.max_q,
             )
-            est_mask = (offsets >= windows.estimation.lo) & (offsets <= windows.estimation.hi)
-            diag = diagnostics_report(
-                ols_fit(returns[est_mask], [loc_ret[est_mask], us_ret[est_mask]]),
-                [loc_ret[est_mask], us_ret[est_mask]],
-            )
+            diag = result.diagnostics
             diagnostics[firm_id] = {
                 "dw": diag.dw_statistic,
                 "bg_p_value": diag.bg_p_value,

@@ -18,13 +18,12 @@ import numpy as np
 
 from .errors import (
     DegenerateSample,
-    ExactFitNoVariance,
     MisalignedOffsets,
     UnknownFirm,
     WindowOutOfData,
 )
-from .garch import GarchFit, GarchSpec, fit_garch_market_model, select_lags
-from .linear_models import OlsFit, ols_fit
+from .garch import GarchFit, select_lags
+from .linear_models import DiagnosticsReport, OlsFit, diagnostics_report, prediction_se
 from .market_data import InstrumentRecord
 from .stats_core import FTestResult, variance_f_test
 
@@ -79,13 +78,18 @@ class EventWindows:
 
 @dataclass(frozen=True)
 class FirmEventResult:
-    """Per-firm abnormal and standardized abnormal returns over the event window."""
+    """Per-firm abnormal and standardized abnormal returns over the event window.
+
+    `diagnostics` are the Durbin-Watson and Breusch-Godfrey statistics of
+    the estimation-window OLS residuals (`fit.ols`).
+    """
 
     firm_id: str
     ar: np.ndarray
     star: np.ndarray
     weight: float
     fit: GarchFit | None = None
+    diagnostics: DiagnosticsReport | None = None
 
 
 @dataclass(frozen=True)
@@ -187,21 +191,16 @@ def cap_weights(manifest: Sequence[InstrumentRecord], active_ids: Sequence[str])
 def standardize(ar, fit: OlsFit, local_index, us_index) -> np.ndarray:
     """Divide each abnormal return by its day-specific forecast standard error.
 
-    The scale is sqrt(s2 * (1 + x'(X'X)^{-1}x)) from the estimation-window
-    regression `fit`, evaluated at each event day's index-return row, so
-    standardized values are comparable across firms.
+    The scale is `prediction_se` of the estimation-window regression `fit`,
+    evaluated at each event day's index-return row, so standardized values
+    are comparable across firms.  An exact fit raises ExactFitNoVariance.
     """
-    if fit.s2 == 0.0:
-        raise ExactFitNoVariance("standardization refused: the estimation fit is exact")
     ar = np.asarray(ar, dtype=float).ravel()
     loc = np.asarray(local_index, dtype=float).ravel()
     us = np.asarray(us_index, dtype=float).ravel()
     if not (ar.shape == loc.shape == us.shape):
         raise MisalignedOffsets("ar and index event-window vectors must have equal length")
-    x = np.column_stack([np.ones(ar.shape[0]), loc, us])
-    quad = np.einsum("ij,jk,ik->i", x, fit.xtx_inverse, x)
-    se = np.sqrt(fit.s2 * (1.0 + quad))
-    return ar / se
+    return ar / prediction_se(fit, np.column_stack([loc, us]))
 
 
 def aggregate(results: Sequence[FirmEventResult], windows: EventWindows) -> EventPanelResult:
@@ -285,14 +284,14 @@ def study_firm(
     weight: float,
     max_p: int = 1,
     max_q: int = 1,
-    spec: GarchSpec | None = None,
 ) -> FirmEventResult:
-    """Run the per-firm pipeline: estimation-window fit, AR, and StAR.
+    """Run the per-firm pipeline: estimation-window fit, AR, StAR, and diagnostics.
 
     `returns`, `local_index`, and `us_index` are aligned vectors with
     event-time `offsets`.  The market model sees only observations at
-    offsets inside the estimation window; with `spec` given that exact
-    lag order is fitted, otherwise lags are selected up to (max_p, max_q).
+    offsets inside the estimation window, with lags selected up to
+    (max_p, max_q).  ARs use the GARCH mean coefficients; StARs and the
+    residual diagnostics use the same window's OLS fit, `fit.ols`.
     """
     r = np.asarray(returns, dtype=float).ravel()
     loc = np.asarray(local_index, dtype=float).ravel()
@@ -310,15 +309,18 @@ def study_firm(
     assert off[est_mask].max() <= windows.estimation.hi  # no event-window leakage
 
     y_est, loc_est, us_est = r[est_mask], loc[est_mask], us[est_mask]
-    if spec is not None:
-        fit = fit_garch_market_model(y_est, loc_est, us_est, spec)
-    else:
-        _, fit = select_lags(y_est, loc_est, us_est, max_p=max_p, max_q=max_q)
+    _, fit = select_lags(y_est, loc_est, us_est, max_p=max_p, max_q=max_q)
 
     r_ev = window_values(r, off, windows.event, fill_missing=True)
     loc_ev = window_values(loc, off, windows.event, fill_missing=True)
     us_ev = window_values(us, off, windows.event, fill_missing=True)
     ar = abnormal_returns(r_ev, loc_ev, us_ev, fit.mean_coefficients)
-    est_fit = ols_fit(y_est, [loc_est, us_est])
-    star = standardize(ar, est_fit, loc_ev, us_ev)
-    return FirmEventResult(firm_id=firm_id, ar=ar, star=star, weight=weight, fit=fit)
+    star = standardize(ar, fit.ols, loc_ev, us_ev)
+    return FirmEventResult(
+        firm_id=firm_id,
+        ar=ar,
+        star=star,
+        weight=weight,
+        fit=fit,
+        diagnostics=diagnostics_report(fit.ols, [loc_est, us_est]),
+    )

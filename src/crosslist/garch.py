@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 
 from .errors import NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
-from .linear_models import ols_fit
+from .linear_models import OlsFit, ols_fit
 from .stats_core import ReturnSeries
 
 MAX_VARIANCE_LAGS = 2
@@ -58,7 +58,10 @@ class GarchFit:
     """Fitted market model with GARCH errors.
 
     `std_errors` covers all parameters in the order: mean coefficients
-    (intercept, local index, US index), alpha0, alphas, gammas.
+    (intercept, local index, US index), alpha0, alphas, gammas.  `ols` is
+    the least-squares fit of the same mean equation on the same window,
+    which gives the optimizer's start and the (0, 0) closed form; the event
+    study standardizes abnormal returns by its forecast standard error.
 
     `converged` is True when the BFGS run that counts reported success, or
     when the sup-norm of the score in the transformed parameters (log
@@ -74,6 +77,7 @@ class GarchFit:
     log_likelihood: float
     std_errors: np.ndarray
     converged: bool
+    ols: OlsFit
 
     @property
     def spec(self) -> GarchSpec:
@@ -365,6 +369,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
             log_likelihood=_gaussian_loglik(resid, h),
             std_errors=_hessian_std_errors(params, yv, X, q, p, resid_var),
             converged=True,
+            ols=base,
         )
 
     # work on returns rescaled to unit OLS residual variance
@@ -436,6 +441,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
         log_likelihood=ll,
         std_errors=_hessian_std_errors(params, yv, X, q, p, resid_var),
         converged=converged,
+        ols=base,
     )
 
 

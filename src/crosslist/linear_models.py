@@ -40,7 +40,6 @@ class OlsFit:
     s2: float
     r_squared: float
     n_obs: int
-    regressor_means: np.ndarray
     xtx_inverse: np.ndarray
 
     @property
@@ -91,7 +90,9 @@ def ols_fit(y, regressors) -> OlsFit:
     `regressors` is a list of equal-length vectors (no intercept column;
     one is prepended).  Raises TooFewObservations unless n exceeds the
     number of columns, and RankDeficient if the augmented design does not
-    have full column rank.
+    have full column rank.  One thin SVD X = U diag(s) V' gives the rank
+    test, the coefficients V diag(1/s) U'y and (X'X)^{-1} = V diag(1/s^2) V',
+    so X'X is never formed.
     """
     y = np.asarray(y, dtype=float).ravel()
     cols = [np.asarray(r, dtype=float).ravel() for r in regressors]
@@ -103,9 +104,11 @@ def ols_fit(y, regressors) -> OlsFit:
     k = X.shape[1]
     if n <= k:
         raise TooFewObservations(f"need more than {k} observations, got {n}")
-    if np.linalg.matrix_rank(X) < k:
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    # numpy.linalg.matrix_rank's default tolerance
+    if np.count_nonzero(s > s.max() * max(n, k) * np.finfo(float).eps) < k:
         raise RankDeficient("intercept-augmented regressor matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    coef = Vt.T @ (U.T @ y / s)
     residuals = y - X @ coef
     rss = float(residuals @ residuals)
     exact_tol = (_EXACT_FIT_RTOL * max(1.0, float(np.linalg.norm(y)))) ** 2
@@ -115,9 +118,6 @@ def ols_fit(y, regressors) -> OlsFit:
         r_squared = 1.0 - rss / tss
     else:
         r_squared = 1.0 if s2 == 0.0 else 0.0
-    gram = X.T @ X
-    xtx_inverse = np.linalg.inv(gram)
-
     # orthogonality is a structural identity of least squares; a violation
     # means numerical failure upstream, not a data problem
     scale = np.linalg.norm(X, axis=0) * np.linalg.norm(residuals)
@@ -131,8 +131,7 @@ def ols_fit(y, regressors) -> OlsFit:
         s2=s2,
         r_squared=float(r_squared),
         n_obs=n,
-        regressor_means=X[:, 1:].mean(axis=0),
-        xtx_inverse=xtx_inverse,
+        xtx_inverse=(Vt.T / s**2) @ Vt,
     )
 
 
@@ -211,21 +210,21 @@ def capm_expected_return(beta: float, risk_free: float, market_mean: float) -> C
     )
 
 
-def prediction_se(fit: OlsFit, new_row, window_length: int | None = None) -> float:
-    """Out-of-sample forecast standard error at the regressor row `new_row`.
+def prediction_se(fit: OlsFit, new_rows) -> float | np.ndarray:
+    """Out-of-sample forecast standard error at regressor rows of `fit`'s model.
 
     sqrt(s2 * (1 + x'(X'X)^{-1}x)) with x intercept-augmented; this is the
-    day-specific scale used to standardize abnormal returns.  When given,
-    `window_length` must equal the length of the estimation sample.
+    day-specific scale used to standardize abnormal returns.  `new_rows` is
+    one row of regressor values (the result is a float) or an m x k matrix
+    of rows (the result has m entries; a NaN in a row gives NaN).
     """
     if fit.s2 == 0.0:
         raise ExactFitNoVariance("forecast standard error undefined for an exact fit")
-    row = np.asarray(new_row, dtype=float).ravel()
-    if row.shape[0] != fit.betas.shape[0]:
-        raise ValueError(f"new_row must have {fit.betas.shape[0]} entries, got {row.shape[0]}")
-    if window_length is not None and window_length != fit.n_obs:
-        raise ValueError(
-            f"window_length {window_length} does not match the fit's {fit.n_obs} observations"
-        )
-    x = np.concatenate([[1.0], row])
-    return float(np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inverse @ x)))
+    rows = np.asarray(new_rows, dtype=float)
+    x = np.atleast_2d(rows)
+    k = fit.betas.shape[0]
+    if rows.ndim > 2 or x.shape[1] != k:
+        raise ValueError(f"new_rows must hold rows of {k} entries, got shape {rows.shape}")
+    x = np.column_stack([np.ones(x.shape[0]), x])
+    se = np.sqrt(fit.s2 * (1.0 + np.einsum("ij,jk,ik->i", x, fit.xtx_inverse, x)))
+    return float(se[0]) if rows.ndim < 2 else se

@@ -109,12 +109,6 @@ class AlignedPanel:
     common_dates: tuple[date, ...]
     series_by_id: dict[str, np.ndarray]
 
-    def to_price_series(self, currency: Currency = Currency.OTHER) -> list[PriceSeries]:
-        return [
-            PriceSeries(instrument_id=k, dates=self.common_dates, closes=v, currency=currency)
-            for k, v in self.series_by_id.items()
-        ]
-
 
 @dataclass(frozen=True)
 class EventFrame:
@@ -122,15 +116,6 @@ class EventFrame:
 
     event_date: date
     day_index: dict[date, int]
-
-    def offset_of(self, d: date) -> int:
-        return self.day_index[d]
-
-    def date_of(self, offset: int) -> date:
-        for d, k in self.day_index.items():
-            if k == offset:
-                return d
-        raise KeyError(offset)
 
 
 def _to_float(text: str) -> float:

@@ -14,7 +14,17 @@ import pytest
 
 import crosslist
 from crosslist.cli import generate_bundle, load_config, main
-from crosslist.market_data import PriceSeries, write_prices
+from crosslist.event_study import EventWindows, study_firm
+from crosslist.garch import GarchSpec, fit_garch_market_model
+from crosslist.linear_models import diagnostics_report, ols_fit
+from crosslist.market_data import (
+    PriceSeries,
+    align,
+    build_event_frame,
+    load_manifest,
+    load_prices,
+    write_prices,
+)
 
 from .test_market_data import weekday_dates
 
@@ -30,6 +40,16 @@ def file_hashes(root: Path) -> dict[str, str]:
         for p in sorted(root.iterdir())
         if p.is_file()
     }
+
+
+def bundle_firm_inputs(bundle: Path, rec):
+    """A generated bundle firm's (returns, local index, US index, offsets), rebuilt through the library."""
+    prices = load_prices(bundle / rec.price_file)
+    panel = align([prices, load_prices(bundle / "sse.csv"), load_prices(bundle / "nyse.csv")])
+    frame = build_event_frame(panel, rec.us_listing_date)
+    returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
+    offsets = np.array([frame.day_index[d] for d in panel.common_dates[1:]])
+    return returns[prices.instrument_id], returns["sse"], returns["nyse"], offsets
 
 
 def write_price_csv(path: Path, closes, start=date(2006, 1, 2)):
@@ -249,27 +269,9 @@ class TestEventStudy:
 
         # recompute the lone firm's standardized ARs through the library;
         # with n=1 the report's z column must equal them
-        from crosslist.cli import load_config
-        from crosslist.event_study import EventWindows, study_firm
-        from crosslist.market_data import align, build_event_frame, load_manifest, load_prices
-
         config = load_config(out / "run.ini")
         rec = load_manifest(config.manifest_path)[0]
-        prices = load_prices(out / rec.price_file)
-        panel = align([prices, load_prices(out / "sse.csv"), load_prices(out / "nyse.csv")])
-        frame = build_event_frame(panel, rec.us_listing_date)
-        closes = panel.series_by_id
-        returns = {k: np.diff(np.log(v)) for k, v in closes.items()}
-        offsets = np.array([frame.day_index[d] for d in panel.common_dates[1:]])
-        result = study_firm(
-            rec.n_code,
-            returns[prices.instrument_id],
-            returns["sse"],
-            returns["nyse"],
-            offsets,
-            EventWindows(),
-            weight=1.0,
-        )
+        result = study_firm(rec.n_code, *bundle_firm_inputs(out, rec), EventWindows(), weight=1.0)
         z_column = np.array([float(r["z"]) for r in rows])
         np.testing.assert_allclose(z_column, result.star, rtol=1e-7)
 
@@ -303,6 +305,38 @@ class TestEventStudy:
         assert main(["event-study", "--config", str(out / "run.ini"), "--out", str(tmp_path / "r1")]) == 0
         assert main(["event-study", "--config", str(out / "run.ini"), "--out", str(tmp_path / "r2")]) == 0
         assert file_hashes(tmp_path / "r1") == file_hashes(tmp_path / "r2")
+
+    def test_summary_diagnostics_match_estimation_window_ols(self, tmp_path):
+        # the reported diagnostics, and the regression that scales the StARs,
+        # are the estimation-window OLS the GARCH fit carries; both must
+        # equal a fit made here from the bundle's files
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=4, n_days=300, effect=0.0, seed=59)
+        assert main(["event-study", "--config", str(out / "run.ini")]) == 0
+        summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
+        config = load_config(out / "run.ini")
+        windows = config.windows
+        records = load_manifest(config.manifest_path)
+        assert sorted(summary["diagnostics"]) == [rec.n_code for rec in records]
+        for rec in records:
+            returns, loc, us, offsets = bundle_firm_inputs(out, rec)
+            est = (offsets >= windows.estimation.lo) & (offsets <= windows.estimation.hi)
+            regressors = [loc[est], us[est]]
+            ols = ols_fit(returns[est], regressors)
+
+            diag = diagnostics_report(ols, regressors)
+            reported = summary["diagnostics"][rec.n_code]
+            assert reported["dw"] == pytest.approx(diag.dw_statistic, rel=1e-12)
+            assert reported["bg_p_value"] == pytest.approx(diag.bg_p_value, rel=1e-12)
+            assert reported["heteroskedastic_5pct"] == diag.heteroskedastic_5pct
+
+            result = study_firm(rec.n_code, returns, loc, us, offsets, windows, weight=1.0)
+            flat = fit_garch_market_model(returns[est], *regressors, GarchSpec(0, 0))
+            assert (result.fit.spec.p, result.fit.spec.q) == (1, 1)
+            for fit in (result.fit, flat):
+                np.testing.assert_allclose(fit.ols.coefficients, ols.coefficients, rtol=1e-12)
+                assert fit.ols.s2 == pytest.approx(ols.s2, rel=1e-12)
+                np.testing.assert_allclose(fit.ols.xtx_inverse, ols.xtx_inverse, rtol=1e-12)
 
     def test_firm_with_short_history_skipped(self, tmp_path, capsys):
         out = tmp_path / "bundle"

@@ -370,7 +370,7 @@ class TestStudyFirm:
     def test_day0_shock_shows_in_ar(self):
         rng = np.random.default_rng(67)
         r, loc, us, offsets, windows = self._panel_inputs(rng, effect=0.05)
-        result = study_firm("X", r, loc, us, offsets, windows, weight=1.0, spec=GarchSpec(1, 1))
+        result = study_firm("X", r, loc, us, offsets, windows, weight=1.0)
         day0 = np.where(windows.event.offsets() == 0)[0][0]
         assert result.ar[day0] == pytest.approx(0.05, abs=0.08)
         assert abs(result.star[day0]) > abs(result.ar[day0]) / 0.2

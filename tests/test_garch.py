@@ -391,6 +391,7 @@ class TestUnconditionalVariance:
             log_likelihood=0.0,
             std_errors=np.zeros(4 + len(alphas) + len(gammas)),
             converged=True,
+            ols=None,  # unconditional_variance does not read the mean equation
         )
 
     def test_no_persistence(self):

@@ -216,11 +216,12 @@ class TestPredictionSe:
         s = np.sqrt(fit.s2)
         xbar = x.mean()
         ssx = np.sum((x - xbar) ** 2)
-        for x_new in (-2.0, 0.0, 0.37, 5.0):
-            expected = s * np.sqrt(1.0 + 1.0 / 90 + (x_new - xbar) ** 2 / ssx)
-            assert prediction_se(fit, [x_new], window_length=90) == pytest.approx(
-                expected, rel=1e-10
-            )
+        x_new = np.array([-2.0, 0.0, 0.37, 5.0])
+        expected = s * np.sqrt(1.0 + 1.0 / 90 + (x_new - xbar) ** 2 / ssx)
+        for value, want in zip(x_new, expected):
+            assert prediction_se(fit, [value]) == pytest.approx(want, rel=1e-10)
+        # the same rows at once, as standardize evaluates an event window
+        np.testing.assert_allclose(prediction_se(fit, x_new[:, None]), expected, rtol=1e-10)
 
     def test_centered_forecast_limit(self):
         rng = np.random.default_rng(67)
@@ -228,7 +229,7 @@ class TestPredictionSe:
         x2 = rng.normal(0, 1, 5000)
         y = x1 - x2 + rng.normal(0, 1, 5000)
         fit = ols_fit(y, [x1, x2])
-        at_means = prediction_se(fit, fit.regressor_means)
+        at_means = prediction_se(fit, [x1.mean(), x2.mean()])
         assert at_means == pytest.approx(np.sqrt(fit.s2 * (1.0 + 1.0 / 5000)), rel=1e-6)
 
     def test_floor_and_minimum_at_means(self):
@@ -237,10 +238,11 @@ class TestPredictionSe:
         x2 = rng.normal(0, 1, 60)
         y = 2.0 + x1 + 0.5 * x2 + rng.normal(0, 1, 60)
         fit = ols_fit(y, [x1, x2])
-        base = prediction_se(fit, fit.regressor_means)
+        means = np.array([x1.mean(), x2.mean()])
+        base = prediction_se(fit, means)
         assert base >= np.sqrt(fit.s2)
         for _ in range(50):
-            row = fit.regressor_means + rng.normal(0, 1, 2)
+            row = means + rng.normal(0, 1, 2)
             se = prediction_se(fit, row)
             assert se >= np.sqrt(fit.s2)
             assert se >= base - 1e-15
@@ -250,10 +252,3 @@ class TestPredictionSe:
         fit = ols_fit(3.0 * x + 1.0, [x])
         with pytest.raises(ExactFitNoVariance):
             prediction_se(fit, [2.0])
-
-    def test_window_length_mismatch(self):
-        rng = np.random.default_rng(73)
-        x = rng.normal(0, 1, 50)
-        fit = ols_fit(x + rng.normal(0, 1, 50), [x])
-        with pytest.raises(ValueError):
-            prediction_se(fit, [0.0], window_length=90)

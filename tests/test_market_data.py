@@ -283,7 +283,9 @@ class TestAlign:
         a = PriceSeries("a", tuple(dates_a), rng.uniform(1, 2, 60))
         b = PriceSeries("b", tuple(dates_b), rng.uniform(1, 2, 55))
         once = align([a, b])
-        twice = align(once.to_price_series())
+        twice = align(
+            [PriceSeries(k, once.common_dates, v) for k, v in once.series_by_id.items()]
+        )
         assert twice.common_dates == once.common_dates
         for key in once.series_by_id:
             assert twice.series_by_id[key].tolist() == once.series_by_id[key].tolist()
@@ -313,7 +315,7 @@ class TestEventFrame:
         saturday = date(2006, 1, 14)
         assert saturday.weekday() == 5
         frame = build_event_frame(panel, saturday)
-        assert frame.date_of(0) == date(2006, 1, 16)
+        assert frame.day_index[date(2006, 1, 16)] == 0
 
     def test_211_day_panel_covers_symmetric_window(self):
         panel, dates = self._panel(211)
