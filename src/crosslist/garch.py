@@ -141,11 +141,14 @@ def _variance_filter(gammas, x) -> np.ndarray:
 
     Equal to `lfilter([1], [1, -gammas], x, axis=0)` with zero initial
     state; `x` is a series of length T or a T x k matrix filtered column by
-    column.  Solved as the unit-lower-triangular banded system L y = x in
-    LAPACK band storage: row k of `ab` holds -gammas[k-1], the k-th
-    subdiagonal of L (LAPACK reads its first T - k entries), and row 0 the
-    unit diagonal, which `diag="U"` leaves unread.
+    column, and comes back as it is when there are no gammas.  Solved as
+    the unit-lower-triangular banded system L y = x in LAPACK band storage:
+    row k of `ab` holds -gammas[k-1], the k-th subdiagonal of L (LAPACK
+    reads its first T - k entries), and row 0 the unit diagonal, which
+    `diag="U"` leaves unread.
     """
+    if not len(gammas):
+        return x
     ab = np.empty((len(gammas) + 1, x.shape[0]), order="F")
     ab[0] = 1.0
     ab[1:] = -np.asarray(gammas, dtype=float)[:, None]
@@ -155,30 +158,29 @@ def _variance_filter(gammas, x) -> np.ndarray:
     return y
 
 
-def _conditional_variances(eps, alpha0, alphas, gammas, h0) -> np.ndarray:
-    """Variance recursion with pre-sample squared errors and variances pinned at h0.
+def _driving_term(eps2, alpha0, alphas, gammas, h0) -> np.ndarray:
+    """alpha0 plus the squared-error lags, so that h = _variance_filter(gammas, drive).
 
-    When the recursion has any memory (p + q > 0) the first in-sample
-    variance equals h0; with p = q = 0 the process is homoskedastic at alpha0.
+    Pre-sample squared errors and variances are pinned at h0; with any
+    memory (p + q > 0) the first in-sample variance is h0 itself.
     """
-    T = eps.shape[0]
+    T = eps2.shape[0]
     q = len(alphas)
     p = len(gammas)
-    if p == 0 and q == 0:
-        return np.full(T, alpha0)
-    eps2 = eps * eps
     drive = np.full(T, alpha0, dtype=float)
     for j in range(1, q + 1):
-        lagged = np.empty(T)
-        lagged[:j] = h0
-        lagged[j:] = eps2[: T - j]
-        drive += alphas[j - 1] * lagged
+        drive[:j] += alphas[j - 1] * h0
+        drive[j:] += alphas[j - 1] * eps2[: T - j]
     for k in range(2, p + 1):
         drive[1:k] += gammas[k - 1] * h0
-    drive[0] = h0
-    if p == 0:
-        return drive
-    return _variance_filter(gammas, drive)
+    if p or q:
+        drive[0] = h0
+    return drive
+
+
+def _conditional_variances(eps, alpha0, alphas, gammas, h0) -> np.ndarray:
+    """Variance recursion with pre-sample squared errors and variances pinned at h0."""
+    return _variance_filter(gammas, _driving_term(eps * eps, alpha0, alphas, gammas, h0))
 
 
 def _gaussian_loglik(eps, h) -> float:
@@ -208,7 +210,7 @@ def _loglik(params, y, X, q, p, h0, score=False):
     the gradient being all nan wherever the value is.  The derivatives of
     h_t follow the same AR filter as h_t (Fiorentini, Calzolari & Panattoni
     1996), driven by the derivatives of the driving term; h_1 = h0 and the
-    pre-sample lags are constants, exactly as in `_conditional_variances`.
+    pre-sample lags are constants, exactly as in `_driving_term`.
     """
     alpha0 = params[3]
     alphas = params[4 : 4 + q]
@@ -217,16 +219,17 @@ def _loglik(params, y, X, q, p, h0, score=False):
     if alpha0 <= 0:
         return invalid
     eps = y - X @ params[:3]
-    h = _conditional_variances(eps, alpha0, alphas, gammas, h0)
+    eps2 = eps * eps
+    h = _variance_filter(gammas, _driving_term(eps2, alpha0, alphas, gammas, h0))
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         return invalid
-    ll = _gaussian_loglik(eps, h)
+    z2 = eps2 / h  # squared standardized residuals
+    ll = float(-0.5 * np.sum(_LOG_2PI + np.log(h) + z2))
     if not score:
         return ll
 
     # D[t, i] = d(driving term at t) / d params[i]; any lag pins h_1 at h0
     T = eps.shape[0]
-    eps2 = eps * eps
     ex = eps[:, None] * X
     D = np.zeros((T, params.shape[0]), order="F")  # LAPACK's layout, for _variance_filter
     D[1 if p or q else 0 :, 3] = 1.0
@@ -237,9 +240,8 @@ def _loglik(params, y, X, q, p, h0, score=False):
     for k in range(1, p + 1):
         D[1:k, 3 + q + k] = h0
         D[k:, 3 + q + k] = h[: T - k]
-    if p:
-        D = _variance_filter(gammas, D)
-    grad = (0.5 * (eps2 / h - 1.0) / h) @ D
+    D = _variance_filter(gammas, D)
+    grad = (0.5 * (z2 - 1.0) / h) @ D
     grad[:3] += (eps / h) @ X
     return ll, grad
 
@@ -288,27 +290,22 @@ def _reentry_point(theta, y, X, q, p, h0):
     return _encode(beta, alpha0, s[:q], s[q:-1])
 
 
-def _numerical_hessian(f, x, rel_step=1e-4) -> np.ndarray:
-    """Central-difference Hessian with steps relative to each parameter."""
-    k = x.shape[0]
-    steps = rel_step * np.maximum(np.abs(x), 1e-8)
-    H = np.empty((k, k))
-    f0 = f(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    return H
-
-
 def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
-    H = _numerical_hessian(lambda v: _loglik(v, y, X, q, p, h0), params)
+    """Standard errors from -H, H the central-difference Jacobian of the analytic score.
+
+    Column i is (g(x + s_i e_i) - g(x - s_i e_i)) / 2 s_i, s_i = 1e-5 |x_i| (floor 1e-8);
+    near the cube root of machine epsilon, where truncation and rounding balance.
+    """
+    k = params.shape[0]
+    steps = 1e-5 * np.maximum(np.abs(params), 1e-8)
+    H = np.empty((k, k))
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = steps[i]
+        up = _loglik(params + e, y, X, q, p, h0, score=True)[1]
+        down = _loglik(params - e, y, X, q, p, h0, score=True)[1]
+        H[:, i] = (up - down) / (2.0 * steps[i])
+    H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)):
         return np.full(params.shape[0], np.nan)
     try:

@@ -1,5 +1,6 @@
 """GARCH market-model estimation, lag selection, and the simulation oracle."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize
@@ -333,6 +334,84 @@ class TestFitRecovery:
         fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
         assert fit.std_errors.shape == (3 + 1 + 1 + 1,)
         assert fit.variance_lag_t_stats.shape == (2,)
+
+
+def mp_loglik(x, y, X, q, p, h0):
+    """The GARCH log-likelihood, written out term by term in mpmath."""
+    eps = [y[t] - x[0] * X[t][0] - x[1] * X[t][1] - x[2] * X[t][2] for t in range(len(y))]
+    h = []
+    ll = mp.mpf(0)
+    for t in range(len(y)):
+        ht = h0
+        if t:
+            ht = x[3]
+            for j in range(1, q + 1):
+                ht += x[3 + j] * (eps[t - j] ** 2 if t >= j else h0)
+            for k in range(1, p + 1):
+                ht += x[3 + q + k] * (h[t - k] if t >= k else h0)
+        h.append(ht)
+        ll -= (mp.log(2 * mp.pi) + mp.log(ht) + eps[t] ** 2 / ht) / 2
+    return ll
+
+
+def mp_std_errors(params, y, X, q, p, h0):
+    """sqrt(diag((-H)^-1)), H by central second differences of `mp_loglik` at 40 digits."""
+    with mp.workdps(40):
+        x = [mp.mpf(float(v)) for v in params]
+        yv = [mp.mpf(float(v)) for v in y]
+        Xv = [[mp.mpf(float(v)) for v in row] for row in X]
+        h0 = mp.mpf(float(h0))
+        steps = [mp.mpf("1e-12") * max(abs(v), mp.mpf("1e-8")) for v in x]
+
+        def f(*moves):
+            v = list(x)
+            for i, sign in moves:
+                v[i] += sign * steps[i]
+            return mp_loglik(v, yv, Xv, q, p, h0)
+
+        k = len(x)
+        f0 = f()
+        H = mp.matrix(k, k)
+        for i in range(k):
+            H[i, i] = (f((i, 1)) - 2 * f0 + f((i, -1))) / steps[i] ** 2
+            for j in range(i + 1, k):
+                H[i, j] = H[j, i] = (
+                    f((i, 1), (j, 1)) - f((i, 1), (j, -1)) - f((i, -1), (j, 1)) + f((i, -1), (j, -1))
+                ) / (4 * steps[i] * steps[j])
+        cov = mp.inverse(-H)
+        return np.array([float(mp.sqrt(cov[i, i])) for i in range(k)])
+
+
+class TestStdErrors:
+    # seeded T = 91 windows from the GARCH(1, 1) simulator whose fit is
+    # interior: every lag coefficient and the slack 1 - sum at least 0.01
+    @pytest.mark.parametrize("p,q,seed", [(1, 1, 0), (1, 2, 0), (2, 1, 4), (2, 2, 155)])
+    def test_match_high_precision_hessian(self, p, q, seed):
+        rng = np.random.default_rng(seed)
+        loc, us = make_indexes(rng, 91)
+        y = simulate_garch(sim_config(91, seed=seed), loc, us).values
+        fit = fit_garch_market_model(y, loc, us, GarchSpec(p, q))
+        coefs = np.concatenate([fit.alphas, fit.gammas])
+        assert fit.converged and coefs.min() >= 0.01 and 1.0 - coefs.sum() >= 0.01
+        X = np.column_stack([np.ones(91), loc, us])
+        h0 = float(ols_fit(y, [loc, us]).residuals.var(ddof=1))
+        params = np.concatenate([fit.mean_coefficients, [fit.alpha0], coefs])
+        np.testing.assert_allclose(fit.std_errors, mp_std_errors(params, y, X, q, p, h0), rtol=1e-6)
+
+    def test_face_fit_fails_the_lag_gate(self):
+        # homoskedastic window: the (1, 1) fit leaves alpha on the simplex face
+        rng = np.random.default_rng(0)
+        loc, us = make_indexes(rng, 91)
+        y = 0.0002 + 0.6 * loc + 0.3 * us + 0.02 * rng.standard_normal(91)
+        fit = fit_garch_market_model(y, loc, us, GarchSpec(1, 1))
+        assert fit.alphas[0] < 1e-8
+        t_alpha = fit.variance_lag_t_stats[0]
+        assert np.isnan(t_alpha) or abs(t_alpha) < 1.96
+        # (1, 1) out-fits (0, 0), so (0, 0) wins only if (1, 1) fails the gate
+        flat = fit_garch_market_model(y, loc, us, GarchSpec(0, 0))
+        assert fit.log_likelihood > flat.log_likelihood
+        spec, _ = select_lags(y, loc, us, max_p=1, max_q=1, include_homoskedastic=True)
+        assert (spec.p, spec.q) == (0, 0)
 
 
 class TestSelectLags:
