@@ -3,16 +3,25 @@
 All loaders validate hard and fail with an error that names the offending
 row, so a batch run never silently drops or patches bad input.  Numeric
 cells accept a decimal comma (normalized to a decimal point at ingest) and
-must be finite; dates must be ISO-8601; files must be UTF-8.
+must be finite; dates must be ISO-8601 `YYYY-MM-DD`; files must be UTF-8.
+
+The dated-value loaders check whole columns at once.  Only when one of those
+checks fails do the per-row checks run, over the same rows, to raise the
+error that names the first bad row.  Dates are compared and aligned as
+sorted int64 day numbers (`date.toordinal`).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
+from functools import partial, reduce
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +55,10 @@ PRICE_COLUMNS = ("date", "close")
 FX_COLUMNS = ("date", "rate")
 RISK_FREE_COLUMNS = ("date", "annual_yield_pct")
 
+# the one accepted date form; Python 3.11+ `date.fromisoformat` also takes
+# forms such as 20060102 and 2006-W01-1, which 3.10 rejects
+_YYYY_MM_DD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+
 
 class Currency(str, Enum):
     USD = "USD"
@@ -76,6 +89,8 @@ class PriceSeries:
     dates: tuple[date, ...]
     closes: np.ndarray
     currency: Currency = Currency.USD
+    # `dates` as day numbers, computed once here for alignment and FX conversion
+    _days: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         closes = np.asarray(self.closes, dtype=float)
@@ -84,8 +99,10 @@ class PriceSeries:
             raise ValueError("dates and closes must have equal length")
         if np.any(~np.isfinite(closes)) or np.any(closes <= 0.0):
             raise NonPositivePrice(f"{self.instrument_id}: closes must be finite and > 0")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        days = _day_numbers(self.dates)
+        if np.any(np.diff(days) <= 0):
             raise ValueError(f"{self.instrument_id}: dates must be strictly increasing")
+        object.__setattr__(self, "_days", days)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -93,7 +110,10 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class RateSeries:
-    """Dated scalar rates (FX conversion rates or annual yields in percent)."""
+    """Dated scalar rates (FX conversion rates or annual yields in percent).
+
+    The loaders produce strictly increasing dates; `convert_to_usd` requires them.
+    """
 
     dates: tuple[date, ...]
     values: np.ndarray
@@ -126,14 +146,21 @@ def _to_float(text: str) -> float:
 
 
 def _to_date(text: str) -> date:
-    return date.fromisoformat(text.strip())
+    t = text.strip()
+    if not re.fullmatch(_YYYY_MM_DD, t):
+        raise ValueError(f"{t!r} is not a YYYY-MM-DD date")
+    return date.fromisoformat(t)
+
+
+def _day_numbers(dates: Sequence[date]) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[list[str]]:
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
+            rows = [row for row in csv.reader(f) if "".join(row).strip()]
     except UnicodeDecodeError:
         raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
     except csv.Error as exc:
@@ -198,13 +225,51 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
     return records
 
 
-def _load_dated_values(
+def _parse_columns(
+    rows: list[list[str]], *, require_positive: bool
+) -> tuple[tuple[date, ...], np.ndarray] | None:
+    """Every check of `_check_rows`, made on whole columns; None if any fails.
+
+    Replacing every comma in a value cell matches `_to_float`'s decimal-comma
+    rule: a cell holding both a comma and a point fails `float` either way.
+    """
+    if not set(map(len, rows)) <= {2}:
+        return None
+    date_text = list(map(str.strip, map(itemgetter(0), rows)))
+    # with every cell 10 characters long, the joined column matches the
+    # repeated pattern exactly when each cell matches it
+    if not (
+        set(map(len, date_text)) <= {10}
+        and re.fullmatch(f"(?:{_YYYY_MM_DD})*", "".join(date_text))
+    ):
+        return None
+    value_text = map(str.replace, map(str.strip, map(itemgetter(1), rows)), repeat(","), repeat("."))
+    try:
+        dates = list(map(date.fromisoformat, date_text))
+        values = np.fromiter(map(float, value_text), dtype=float, count=len(rows))
+    except ValueError:
+        return None
+    if (
+        np.any(np.diff(_day_numbers(dates)) <= 0)
+        or not np.all(np.isfinite(values))
+        or (require_positive and np.any(values <= 0))
+    ):
+        return None
+    return tuple(dates), values
+
+
+def _check_rows(
     path: str | Path,
     columns: Sequence[str],
+    rows: list[list[str]],
     *,
     require_positive: bool,
 ) -> tuple[tuple[date, ...], np.ndarray]:
-    rows = _read_rows(path, columns)
+    """The per-row checks: raise the error naming the first bad row, else return.
+
+    Loading runs them only after a column check of `_parse_columns` failed;
+    the tests use them as the reference that the column checks must match.
+    """
     dates: list[date] = []
     values: list[float] = []
     for i, row in enumerate(rows, start=1):
@@ -239,6 +304,20 @@ def _load_dated_values(
     return tuple(dates), array
 
 
+def _load_dated_values(
+    path: str | Path,
+    columns: Sequence[str],
+    *,
+    require_positive: bool,
+) -> tuple[tuple[date, ...], np.ndarray]:
+    rows = _read_rows(path, columns)
+    parsed = _parse_columns(rows, require_positive=require_positive)
+    if parsed is None:
+        _check_rows(path, columns, rows, require_positive=require_positive)
+        raise RuntimeError(f"{path}: a column check failed that no row check reproduces")
+    return parsed
+
+
 def load_prices(path: str | Path, currency: Currency = Currency.USD) -> PriceSeries:
     """Load a two-column `date,close` CSV; the instrument id is the file stem."""
     dates, closes = _load_dated_values(path, PRICE_COLUMNS, require_positive=True)
@@ -265,20 +344,28 @@ def write_prices(series: PriceSeries, path: str | Path) -> None:
     repr() round-trips doubles exactly, so load_prices(write_prices(s)) == s.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(PRICE_COLUMNS)
-        for d, c in zip(series.dates, series.closes):
-            writer.writerow([d.isoformat(), repr(float(c))])
+        f.write(",".join(PRICE_COLUMNS) + "\n")
+        f.writelines(
+            map("{},{!r}\n".format, map(date.isoformat, series.dates), series.closes.tolist())
+        )
+
+
+def _shared_positions(day_numbers: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Positions, in each strictly increasing day-number array, of the days all share."""
+    common = reduce(partial(np.intersect1d, assume_unique=True), day_numbers)
+    return [np.searchsorted(days, common) for days in day_numbers]
 
 
 def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
     """Multiply closes by the same-date FX rate, restricted to dates with a rate."""
-    rates = fx.as_mapping()
-    keep = [i for i, d in enumerate(series.dates) if d in rates]
-    if not keep:
+    fx_days = _day_numbers(fx.dates)
+    if np.any(np.diff(fx_days) <= 0):
+        raise ValueError("FX dates must be strictly increasing")
+    keep, at = _shared_positions([series._days, fx_days])
+    if keep.size == 0:
         raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")
-    dates = tuple(series.dates[i] for i in keep)
-    closes = series.closes[keep] * np.array([rates[d] for d in dates])
+    dates = tuple(map(series.dates.__getitem__, keep.tolist()))
+    closes = series.closes[keep] * fx.values[at]
     return replace(series, dates=dates, closes=closes, currency=Currency.USD)
 
 
@@ -293,16 +380,11 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     ids = [s.instrument_id for s in series]
     if len(set(ids)) != len(ids):
         raise DuplicateCode(f"duplicate instrument ids in alignment input: {ids}")
-    common: set[date] = set(series[0].dates)
-    for s in series[1:]:
-        common &= set(s.dates)
-    if not common:
+    positions = _shared_positions([s._days for s in series])
+    if positions[0].size == 0:
         raise EmptyIntersection("input series share no trading dates")
-    common_dates = tuple(sorted(common))
-    by_id: dict[str, np.ndarray] = {}
-    for s in series:
-        pos = {d: i for i, d in enumerate(s.dates)}
-        by_id[s.instrument_id] = s.closes[[pos[d] for d in common_dates]]
+    common_dates = tuple(map(series[0].dates.__getitem__, positions[0].tolist()))
+    by_id = {s.instrument_id: s.closes[pos] for s, pos in zip(series, positions)}
     return AlignedPanel(common_dates=common_dates, series_by_id=by_id)
 
 

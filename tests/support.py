@@ -81,3 +81,28 @@ def simulate_panel(rng, n_firms: int = 10, effect: float = 0.0,
             FirmEventResult(firm_id=f"F{i:02d}", ar=ar, star=star, weight=float(weights[i]))
         )
     return results
+
+
+def align_reference(series):
+    """Alignment by set intersection and a date-to-position dict per series.
+
+    Returns the common dates and each series' closes on them; the dates are
+    empty when the series share none.
+    """
+    common = set(series[0].dates)
+    for s in series[1:]:
+        common &= set(s.dates)
+    common_dates = tuple(sorted(common))
+    by_id = {}
+    for s in series:
+        pos = {d: i for i, d in enumerate(s.dates)}
+        by_id[s.instrument_id] = s.closes[[pos[d] for d in common_dates]]
+    return common_dates, by_id
+
+
+def convert_to_usd_reference(series, fx):
+    """FX conversion by a date-to-rate dict: the kept dates and the USD closes."""
+    rates = dict(zip(fx.dates, fx.values.tolist()))
+    keep = [i for i, d in enumerate(series.dates) if d in rates]
+    dates = tuple(series.dates[i] for i in keep)
+    return dates, series.closes[keep] * np.array([rates[d] for d in dates])

@@ -199,6 +199,36 @@ class TestSimulateGarch:
         assert a.values.tolist() == b.values.tolist()
         assert a.dates == b.dates
 
+    # T = 20 outputs of the numpy-scalar recursion this simulator replaced;
+    # the Python-float recursion runs the same operations, so they match exactly
+    PINNED = {
+        ((0.07, 0.05), (0.5, 0.3), 2024): [
+            0.014205939092743846, 0.028936972286945258, 0.020285086031368357,
+            -0.02961949492261793, -0.038565284164348165, -0.002397613664560304,
+            0.017588731327397182, 0.00970063819840232, 0.03991293313465572,
+            0.01791226081588148, 0.016291733295993104, -0.015492293886651812,
+            -0.02281930341534995, 0.03758203956040764, 0.005635407808762826,
+            0.024326371042078767, -0.024698329828296145, -0.002862681264493695,
+            -0.021179167481253824, -0.008632494432230882,
+        ],
+        ((), (), 2025): [
+            -0.02284844301766407, -0.007688195337455551, -0.01031400254306453,
+            -0.013099536912701479, -0.020454247000980245, 0.0007776023762683928,
+            -0.007920613255937587, -0.0004797888474947628, 0.003217399188921442,
+            0.0015738532116207182, -0.0005791664568077906, 0.005787487930136225,
+            0.005856920589230455, 0.007304270327925794, -0.005982357211117627,
+            0.0029285134029504297, 0.0020741661613795934, 0.02587422566665867,
+            0.004049159919236848, 0.017152897118971965,
+        ],
+    }
+
+    @pytest.mark.parametrize("key", list(PINNED), ids=["garch22", "homoskedastic"])
+    def test_pinned_output(self, key):
+        alphas, gammas, seed = key
+        loc, us = np.linspace(-0.02, 0.02, 20), np.linspace(0.01, -0.01, 20)
+        sim = simulate_garch(sim_config(20, seed=seed, alphas=alphas, gammas=gammas), loc, us)
+        assert sim.values.tolist() == self.PINNED[key]
+
     def test_non_stationary_rejected(self):
         with pytest.raises(NonStationaryParameters):
             sim_config(100, seed=1, alphas=(0.3,), gammas=(0.7,))

@@ -1,30 +1,46 @@
-"""Property tests: every loader, fed arbitrary input, either returns or raises CrosslistError.
+"""Property tests of the loaders and of calendar alignment.
 
+Every loader, fed arbitrary input, either returns or raises CrosslistError.
 Two kinds of input per loader: arbitrary bytes, and a CSV with the right
 header whose rows mix cells valid for their column with arbitrary ones, so
 that rows get past the first checks and reach the later ones (duplicate
 codes, repeated or unsorted dates, non-positive or non-finite numbers).
+
+The dated-value loaders check whole columns and fall back to the per-row
+checks only to name the first bad row; on any file the two must agree.
+`align` and `convert_to_usd` must agree with set-based references.
 """
 
 import csv
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosslist.errors import CrosslistError
+from crosslist.errors import CrosslistError, EmptyIntersection
 from crosslist.market_data import (
     FX_COLUMNS,
     MANIFEST_COLUMNS,
     PRICE_COLUMNS,
     RISK_FREE_COLUMNS,
+    Currency,
+    PriceSeries,
+    RateSeries,
+    _check_rows,
+    _load_dated_values,
+    _read_rows,
+    align,
+    convert_to_usd,
     load_fx,
     load_manifest,
     load_prices,
     load_risk_free,
 )
+
+from .support import align_reference, convert_to_usd_reference
 
 LOADERS = {
     "manifest": (load_manifest, MANIFEST_COLUMNS),
@@ -104,3 +120,132 @@ def test_well_formed_csv_arbitrary_cells(work, kind):
         _load_or_crosslist_error(loader, path)
 
     check()
+
+
+DAY0 = date(2006, 1, 2)
+# str.strip removes all of these; float() alone rejects the \x1c..\x1f separators
+PAD = st.sampled_from(["", "", " ", "\t", "\x1c", "\u3000"])
+number = st.one_of(
+    st.floats(1e-6, 1e12).map(repr),
+    st.floats(1e-6, 1e12).map(lambda v: repr(v).replace(".", ",")),
+    st.floats(-50.0, 50.0).map(repr),
+    st.sampled_from(["1_000", "7", "-0"]),
+)
+bad_date = st.sampled_from(
+    ["", " ", "20060103", "2006-W01-2", "2006-1-03", "2006-02-30", "03.01.2006", "x"]
+)
+bad_value = st.sampled_from(
+    ["", " ", "nan", "inf", "-inf", "1e400", "0", "-1.5", "0,0", "1,000.5", "1.5,", "abc"]
+)
+
+
+def _padded(text: str):
+    return st.tuples(PAD, PAD).map(lambda pads: pads[0] + text + pads[1])
+
+
+@st.composite
+def dated_rows(draw):
+    """The rows of a valid file, then up to three edits that may break it."""
+    rows = [
+        [draw(_padded((DAY0 + timedelta(days=day)).isoformat())), draw(number.flatmap(_padded))]
+        for day in sorted(draw(st.sets(st.integers(0, 40), max_size=10)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["blank", "date", "value", "fields", "swap", "repeat"]))
+        i = draw(st.integers(0, len(rows)))
+        if edit == "blank":
+            rows.insert(i, draw(st.sampled_from([[], [""], ["", " "], ["\t"]])))
+        elif i == len(rows) or len(rows[i]) != 2:
+            continue
+        elif edit == "date":
+            rows[i][0] = draw(bad_date)
+        elif edit == "value":
+            rows[i][1] = draw(bad_value)
+        elif edit == "fields":
+            rows[i] = rows[i][:1] if draw(st.booleans()) else rows[i] + [draw(number)]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows.insert(i, list(rows[i]))
+    return rows
+
+
+def _outcome(load):
+    try:
+        dates, values = load()
+    except CrosslistError as exc:
+        return type(exc), str(exc)
+    return dates, values.tolist()
+
+
+@pytest.mark.parametrize(
+    "columns, positive",
+    [(PRICE_COLUMNS, True), (FX_COLUMNS, True), (RISK_FREE_COLUMNS, False)],
+    ids=["prices", "fx", "risk_free"],
+)
+def test_column_checks_match_row_checks(work, columns, positive):
+    path = work / f"columns_{columns[1]}.csv"
+    seen = {"loaded": 0, "rejected": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=dated_rows())
+    def check(rows):
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+        by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive))
+        by_row = _outcome(
+            lambda: _check_rows(path, columns, _read_rows(path, columns), require_positive=positive)
+        )
+        assert by_column == by_row
+        seen["rejected" if isinstance(by_row[0], type) else "loaded"] += 1
+
+    check()
+    assert seen["loaded"] and seen["rejected"]
+
+
+def _series(name: str, days, offset: float) -> PriceSeries:
+    # each close encodes its own day, so a close picked from the wrong row shows
+    days = sorted(days)
+    dates = tuple(DAY0 + timedelta(days=d) for d in days)
+    return PriceSeries(name, dates, np.array(days, dtype=float) + offset, Currency.CNY)
+
+
+calendar = st.sets(st.integers(0, 30), max_size=25)
+
+
+@PROPERTY
+@given(calendars=st.lists(calendar, min_size=1, max_size=4), fx_days=calendar)
+def test_align_and_convert_match_set_reference(calendars, fx_days):
+    series = [_series(f"s{k}", days, 1.0 + 100.0 * k) for k, days in enumerate(calendars)]
+    fx_days = sorted(fx_days)
+    fx = RateSeries(
+        dates=tuple(DAY0 + timedelta(days=d) for d in fx_days),
+        values=1.0 + np.array(fx_days, dtype=float) / 64.0,
+    )
+
+    want_dates, want_closes = convert_to_usd_reference(series[0], fx)
+    if not want_dates:
+        with pytest.raises(EmptyIntersection):
+            convert_to_usd(series[0], fx)
+        converted = series
+    else:
+        usd = convert_to_usd(series[0], fx)
+        assert usd.currency is Currency.USD
+        assert usd.dates == want_dates
+        assert usd.closes.tolist() == want_closes.tolist()
+        converted = [usd] + series[1:]  # a replaced series must align on its new dates
+
+    for panel_input in (series, converted):
+        want_common, want_by_id = align_reference(panel_input)
+        if not want_common:
+            with pytest.raises(EmptyIntersection):
+                align(panel_input)
+            continue
+        panel = align(panel_input)
+        assert panel.common_dates == want_common
+        assert list(panel.series_by_id) == list(want_by_id)
+        for key, closes in want_by_id.items():
+            assert panel.series_by_id[key].tolist() == closes.tolist()

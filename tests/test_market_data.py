@@ -1,5 +1,7 @@
 """Manifest/price ingestion, alignment, and event-frame construction."""
 
+import csv
+import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -20,6 +22,7 @@ from crosslist.errors import (
 from crosslist.market_data import (
     Currency,
     PriceSeries,
+    RateSeries,
     align,
     build_event_frame,
     convert_to_usd,
@@ -121,6 +124,19 @@ class TestLoadManifest:
         with pytest.raises(UnparsableDate, match="row 1"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("text", ["20070115", "2007-W03-1"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, text):
+        # Python 3.11+ date.fromisoformat parses both forms, 3.10 neither
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            MANIFEST_HEADER
+            + "\nFirm,600001,AAA,Energy,1e9,2007-01-15,1997-01-15,p.csv"
+            + f"\nFirm2,600002,BBB,Energy,1e9,{text},1997-01-15,q.csv\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(UnparsableDate, match="row 2"):
+            load_manifest(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("name,code\nX,1\n", encoding="utf-8")
@@ -188,6 +204,32 @@ class TestLoadPrices:
         assert loaded.closes.tolist() == series.closes.tolist()  # exact round trip
 
 
+    @pytest.mark.parametrize("loader", [load_prices, load_fx, load_risk_free])
+    @pytest.mark.parametrize("text", ["20070109", "2007-W02-2"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, loader, text):
+        # Python 3.11+ date.fromisoformat parses both forms, 3.10 neither
+        path = tmp_path / "p.csv"
+        column = {load_prices: "close", load_fx: "rate", load_risk_free: "annual_yield_pct"}[loader]
+        path.write_text(f"date,{column}\n2007-01-08,1.5\n{text},1.5\n", encoding="utf-8")
+        with pytest.raises(UnparsableDate, match=f"row 2: '{text}' is not an ISO-8601 date"):
+            loader(path)
+
+    def test_writer_format(self, tmp_path):
+        # edge closes: subnormal, tiny, inexact decimal, 17 digits, repr switching to exponent
+        closes = [5e-324, 1e-300, 0.1, 1e16, 123456789.123]
+        dates = tuple(weekday_dates(date(2007, 1, 8), len(closes)))
+        series = PriceSeries("edge", dates, np.array(closes))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["date", "close"])
+        writer.writerows([d.isoformat(), repr(c)] for d, c in zip(dates, closes))
+        path = tmp_path / "edge.csv"
+        write_prices(series, path)
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        loaded = load_prices(path)
+        assert loaded.dates == dates
+        assert loaded.closes.tolist() == closes
+
     def test_nan_close_names_first_bad_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(
@@ -247,6 +289,13 @@ class TestRateLoaders:
         assert converted.currency is Currency.USD
         assert converted.closes.tolist() == [5.0, 10.0]
         assert len(converted.dates) == 2
+
+    def test_convert_to_usd_rejects_unsorted_fx(self):
+        dates = tuple(weekday_dates(date(2007, 1, 8), 3))
+        series = PriceSeries("x", dates, np.array([10.0, 20.0, 30.0]), Currency.CNY)
+        fx = RateSeries(dates=dates[::-1], values=np.array([0.5, 0.25, 0.125]))
+        with pytest.raises(ValueError, match="FX dates must be strictly increasing"):
+            convert_to_usd(series, fx)
 
 
 class TestAlign:
