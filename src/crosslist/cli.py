@@ -495,6 +495,9 @@ def cmd_event_study(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 _INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Telecom")
+# business days from 2006-01-02, the first simulated date, through 9999-12-31,
+# the last date `datetime.date` holds: np.busday_count("2006-01-02", "10000-01-01")
+MAX_SIM_DAYS = 2_085_535
 
 
 def _business_dates(n_days: int) -> tuple:
@@ -513,8 +516,12 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
     is added to each firm's return on its listing day.  Byte-identical for
     a fixed seed.
     """
-    if n_days < 3:
-        raise ConfigError(f"need at least 3 days, got {n_days}")
+    if n_firms < 1:
+        raise ConfigError(f"need at least 1 firm, got {n_firms}")
+    if not 3 <= n_days <= MAX_SIM_DAYS:
+        raise ConfigError(f"days must be in [3, {MAX_SIM_DAYS}], got {n_days}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     dates = _business_dates(n_days)

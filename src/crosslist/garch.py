@@ -296,6 +296,11 @@ def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
 
     Column i is (g(x + s_i e_i) - g(x - s_i e_i)) / 2 s_i, s_i = 1e-5 |x_i| (floor 1e-8);
     near the cube root of machine epsilon, where truncation and rounding balance.
+    When alpha0 <= s_3, the central stencil would leave the region alpha0 > 0
+    where the likelihood is defined, and the alpha0 column is the second-order
+    forward difference (4 g(x + s e) - 3 g(x) - g(x + 2 s e)) / 2 s instead.
+    Halving the step does not serve: a fit can drive alpha0 to 1e-21, where
+    alpha0 +/- alpha0 / 2 does not move the variances in double precision.
     """
     k = params.shape[0]
     steps = 1e-5 * np.maximum(np.abs(params), 1e-8)
@@ -304,8 +309,13 @@ def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
         e = np.zeros(k)
         e[i] = steps[i]
         up = _loglik(params + e, y, X, q, p, h0, score=True)[1]
-        down = _loglik(params - e, y, X, q, p, h0, score=True)[1]
-        H[:, i] = (up - down) / (2.0 * steps[i])
+        if i == 3 and params[3] <= steps[3]:
+            at = _loglik(params, y, X, q, p, h0, score=True)[1]
+            beyond = _loglik(params + 2.0 * e, y, X, q, p, h0, score=True)[1]
+            H[:, i] = (4.0 * up - 3.0 * at - beyond) / (2.0 * steps[i])
+        else:
+            down = _loglik(params - e, y, X, q, p, h0, score=True)[1]
+            H[:, i] = (up - down) / (2.0 * steps[i])
     H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)):
         return np.full(params.shape[0], np.nan)
@@ -514,22 +524,27 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSerie
 
     rng = np.random.default_rng(config.seed)
     # the recursion runs on Python floats: the same IEEE operations as on
-    # numpy scalars, at a fraction of the per-operation cost
+    # numpy scalars, at a fraction of the per-operation cost.  The lag lists
+    # start with the pre-sample values, so lag j of the day just appended is
+    # e2[~j]; each e ** 2 is formed once (not e * e, which can round differently)
     z = rng.standard_normal(T).tolist()
-    alphas, gammas, uncond = alphas.tolist(), gammas.tolist(), float(uncond)
-    h = [0.0] * T
-    eps = [0.0] * T
-    for t in range(T):
-        if t == 0 and q + p:
-            ht = uncond
-        else:
-            ht = alpha0
-            for j in range(1, q + 1):
-                ht += alphas[j - 1] * (eps[t - j] ** 2 if t - j >= 0 else uncond)
-            for k in range(1, p + 1):
-                ht += gammas[k - 1] * (h[t - k] if t - k >= 0 else uncond)
-        h[t] = ht
-        eps[t] = math.sqrt(ht) * z[t]
+    alpha_lags = list(enumerate(alphas.tolist()))
+    gamma_lags = list(enumerate(gammas.tolist()))
+    uncond = float(uncond)
+    e2 = [uncond] * q
+    h = [uncond] * p
+    eps = []
+    ht = uncond  # equals alpha0 when q + p == 0
+    for zt in z:
+        e = math.sqrt(ht) * zt
+        eps.append(e)
+        e2.append(e ** 2)
+        h.append(ht)
+        ht = alpha0
+        for j, a in alpha_lags:
+            ht += a * e2[~j]
+        for k, g in gamma_lags:
+            ht += g * h[~k]
 
     X = np.column_stack([np.ones(T), loc, us])
     if isinstance(local_index, ReturnSeries):

@@ -58,6 +58,8 @@ RISK_FREE_COLUMNS = ("date", "annual_yield_pct")
 # the one accepted date form; Python 3.11+ `date.fromisoformat` also takes
 # forms such as 20060102 and 2006-W01-1, which 3.10 rejects
 _YYYY_MM_DD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+# date(1970, 1, 1).toordinal(): day numbers minus this are numpy's datetime64[D]
+_UNIX_EPOCH_ORDINAL = 719163
 
 
 class Currency(str, Enum):
@@ -342,12 +344,13 @@ def write_prices(series: PriceSeries, path: str | Path) -> None:
     """Write a PriceSeries in the `date,close` format at full float precision.
 
     repr() round-trips doubles exactly, so load_prices(write_prices(s)) == s.
+    numpy formats the day numbers as `date.isoformat` does, for years 1-9999.
     """
+    days = np.datetime_as_string((series._days - _UNIX_EPOCH_ORDINAL).view("datetime64[D]"))
+    lines = [f"{d},{c!r}\n" for d, c in zip(days.tolist(), series.closes.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(PRICE_COLUMNS) + "\n")
-        f.writelines(
-            map("{},{!r}\n".format, map(date.isoformat, series.dates), series.closes.tolist())
-        )
+        f.write("".join(lines))
 
 
 def _shared_positions(day_numbers: Sequence[np.ndarray]) -> list[np.ndarray]:

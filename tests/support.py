@@ -9,6 +9,10 @@ have known distributions.
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
 import mpmath as mp
 
@@ -20,6 +24,7 @@ from crosslist.event_study import (
     window_values,
 )
 from crosslist.linear_models import ols_fit
+from crosslist.market_data import PRICE_COLUMNS
 
 
 def ols_oracle(y, regressors, dps: int = 40) -> np.ndarray:
@@ -106,3 +111,47 @@ def convert_to_usd_reference(series, fx):
     keep = [i for i, d in enumerate(series.dates) if d in rates]
     dates = tuple(series.dates[i] for i in keep)
     return dates, series.closes[keep] * np.array([rates[d] for d in dates])
+
+
+def write_prices_reference(series) -> bytes:
+    """The bytes of a price file: `csv.writer` rows of `date.isoformat` and `repr` closes."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PRICE_COLUMNS)
+    writer.writerows([d.isoformat(), repr(c)] for d, c in zip(series.dates, series.closes.tolist()))
+    return out.getvalue().encode("utf-8")
+
+
+def simulate_garch_values_reference(config, loc, us) -> np.ndarray:
+    """`simulate_garch`'s return values by the per-day loop with explicit lag branches.
+
+    The recursion is the simulator's earlier loop, kept verbatim: the same
+    IEEE operations in the same order, so outputs must match bit for bit.
+    """
+    T = config.length
+    beta = np.asarray(config.true_mean_coefficients, dtype=float)
+    alphas = np.asarray(config.true_alphas, dtype=float)
+    gammas = np.asarray(config.true_gammas, dtype=float)
+    alpha0 = float(config.true_alpha0)
+    q, p = alphas.shape[0], gammas.shape[0]
+    uncond = alpha0 / (1.0 - alphas.sum() - gammas.sum()) if q + p else alpha0
+
+    rng = np.random.default_rng(config.seed)
+    z = rng.standard_normal(T).tolist()
+    alphas, gammas, uncond = alphas.tolist(), gammas.tolist(), float(uncond)
+    h = [0.0] * T
+    eps = [0.0] * T
+    for t in range(T):
+        if t == 0 and q + p:
+            ht = uncond
+        else:
+            ht = alpha0
+            for j in range(1, q + 1):
+                ht += alphas[j - 1] * (eps[t - j] ** 2 if t - j >= 0 else uncond)
+            for k in range(1, p + 1):
+                ht += gammas[k - 1] * (h[t - k] if t - k >= 0 else uncond)
+        h[t] = ht
+        eps[t] = math.sqrt(ht) * z[t]
+
+    X = np.column_stack([np.ones(T), loc, us])
+    return X @ beta + np.array(eps)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import crosslist
-from crosslist.cli import generate_bundle, load_config, main
+from crosslist.cli import MAX_SIM_DAYS, generate_bundle, load_config, main
 from crosslist.event_study import EventWindows, study_firm
 from crosslist.garch import GarchSpec, fit_garch_market_model
 from crosslist.linear_models import diagnostics_report, ols_fit
@@ -86,6 +86,38 @@ class TestSimulate:
         blocker.write_text("a plain file, not a directory", encoding="utf-8")
         assert main(["simulate", "--out", str(blocker / "sub"), "--seed", "1"]) == 2
 
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("firms = -3", "need at least 1 firm, got -3"),
+            ("firms = 0", "need at least 1 firm, got 0"),
+            ("days = 2", "days must be in [3, 2085535], got 2"),
+            (f"days = {MAX_SIM_DAYS + 1}", "days must be in [3, 2085535], got 2085536"),
+            ("seed = -1", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, capsys, setting, message):
+        section = "run" if setting.startswith("seed") else "simulate"
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{section}]\n{setting}\n", encoding="utf-8")
+        out = tmp_path / "bundle"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(["simulate", "--out", str(out), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+        assert not out.exists()
+
+    def test_day_limit_ends_on_the_last_date(self):
+        last = np.busday_offset(np.datetime64("2006-01-02"), MAX_SIM_DAYS - 1, roll="forward")
+        assert last == np.datetime64("9999-12-31")
+        assert MAX_SIM_DAYS == np.busday_count(np.datetime64("2006-01-02"), np.datetime64("10000-01-01"))
 
 class TestImportFootprint:
     def test_cli_import_skips_scipy_stats_and_signal(self):

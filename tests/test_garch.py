@@ -24,6 +24,8 @@ from crosslist.garch import (
 )
 from crosslist.linear_models import ols_fit
 
+from .support import simulate_garch_values_reference
+
 
 def make_indexes(rng, n):
     return 0.01 * rng.standard_normal(n), 0.01 * rng.standard_normal(n)
@@ -229,6 +231,17 @@ class TestSimulateGarch:
         sim = simulate_garch(sim_config(20, seed=seed, alphas=alphas, gammas=gammas), loc, us)
         assert sim.values.tolist() == self.PINNED[key]
 
+    @pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_branching_loop(self, p, q):
+        # the per-day loop with explicit pre-sample branches; equal bit for bit
+        alphas = ((), (0.1,), (0.07, 0.05))[q]
+        gammas = ((), (0.8,), (0.5, 0.3))[p]
+        for seed in range(40, 45):
+            loc, us = make_indexes(np.random.default_rng(seed), 4999)
+            config = sim_config(4999, seed=seed, alphas=alphas, gammas=gammas)
+            expected = simulate_garch_values_reference(config, loc, us)
+            assert simulate_garch(config, loc, us).values.tolist() == expected.tolist()
+
     def test_non_stationary_rejected(self):
         with pytest.raises(NonStationaryParameters):
             sim_config(100, seed=1, alphas=(0.3,), gammas=(0.7,))
@@ -427,6 +440,22 @@ class TestStdErrors:
         h0 = float(ols_fit(y, [loc, us]).residuals.var(ddof=1))
         params = np.concatenate([fit.mean_coefficients, [fit.alpha0], coefs])
         np.testing.assert_allclose(fit.std_errors, mp_std_errors(params, y, X, q, p, h0), rtol=1e-6)
+
+    def test_alpha0_below_the_floor_step(self):
+        # a seeded T = 91 window whose (1, 1) fit drives alpha0 to about 4e-21, below
+        # its floor step 1e-13, with interior lags: central differences in alpha0
+        # would step to alpha0 < 0, where the likelihood is nan
+        rng = np.random.default_rng(37)
+        loc, us = make_indexes(rng, 91)
+        y = simulate_garch(sim_config(91, seed=37, alphas=(0.08,), gammas=(0.85,)), loc, us).values
+        fit = fit_garch_market_model(y, loc, us, GarchSpec(1, 1))
+        coefs = np.concatenate([fit.alphas, fit.gammas])
+        assert fit.alpha0 < 1e-13 and coefs.min() > 1e-3 and 1.0 - coefs.sum() > 1e-3
+        X = np.column_stack([np.ones(91), loc, us])
+        h0 = float(ols_fit(y, [loc, us]).residuals.var(ddof=1))
+        params = np.concatenate([fit.mean_coefficients, [fit.alpha0], coefs])
+        assert np.all(np.isfinite(fit.std_errors))
+        np.testing.assert_allclose(fit.std_errors, mp_std_errors(params, y, X, 1, 1, h0), rtol=1e-6)
 
     def test_face_fit_fails_the_lag_gate(self):
         # homoskedastic window: the (1, 1) fit leaves alpha on the simplex face

@@ -8,10 +8,13 @@ codes, repeated or unsorted dates, non-positive or non-finite numbers).
 
 The dated-value loaders check whole columns and fall back to the per-row
 checks only to name the first bad row; on any file the two must agree.
-`align` and `convert_to_usd` must agree with set-based references.
+`align` and `convert_to_usd` must agree with set-based references, and
+`write_prices` with a `csv.writer` reference byte for byte.
 """
 
 import csv
+import math
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -38,9 +41,10 @@ from crosslist.market_data import (
     load_manifest,
     load_prices,
     load_risk_free,
+    write_prices,
 )
 
-from .support import align_reference, convert_to_usd_reference
+from .support import align_reference, convert_to_usd_reference, write_prices_reference
 
 LOADERS = {
     "manifest": (load_manifest, MANIFEST_COLUMNS),
@@ -249,3 +253,32 @@ def test_align_and_convert_match_set_reference(calendars, fx_days):
         assert list(panel.series_by_id) == list(want_by_id)
         for key, closes in want_by_id.items():
             assert panel.series_by_id[key].tolist() == closes.tolist()
+
+
+# positive finite doubles, with the subnormals and the ends of the date range drawn often
+close = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=5e-324, max_value=math.nextafter(sys.float_info.min, 0.0)),
+)
+any_date = st.one_of(
+    st.dates(), st.sampled_from([date.min, date(999, 12, 31), date(1000, 1, 1), date.max])
+)
+
+
+@st.composite
+def price_series(draw) -> PriceSeries:
+    dates = sorted(draw(st.sets(any_date, min_size=1, max_size=30)))
+    closes = draw(st.lists(close, min_size=len(dates), max_size=len(dates)))
+    return PriceSeries("written", tuple(dates), np.array(closes))
+
+
+def test_writer_matches_reference(work):
+    path = work / "written.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(series=price_series())
+    def check(series):
+        write_prices(series, path)
+        assert path.read_bytes() == write_prices_reference(series)
+
+    check()
