@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market_data
-from .errors import CrosslistError
+from .errors import CrosslistError, NonPositivePrice
 from .event_study import (
     EventWindows,
     OffsetRange,
@@ -506,7 +506,8 @@ def _business_dates(n_days: int) -> tuple:
 
 
 def _prices_from_returns(first_close: float, returns: np.ndarray) -> np.ndarray:
-    return first_close * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+    with np.errstate(over="ignore"):  # an overflow to inf fails PriceSeries's check instead
+        return first_close * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
 
 
 def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, seed: int) -> None:
@@ -514,7 +515,9 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
 
     Firms follow the two-index market model with GARCH(1,1) errors; `effect`
     is added to each firm's return on its listing day.  Byte-identical for
-    a fixed seed.
+    a fixed seed.  Bad settings raise ConfigError before anything is
+    written, except closes that leave the floating-point range, which are
+    found only when the firm is simulated.
     """
     if n_firms < 1:
         raise ConfigError(f"need at least 1 firm, got {n_firms}")
@@ -522,6 +525,8 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         raise ConfigError(f"days must be in [3, {MAX_SIM_DAYS}], got {n_days}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(effect):
+        raise ConfigError(f"effect must be finite, got {effect}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     dates = _business_dates(n_days)
@@ -567,10 +572,14 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         returns = sim.values.copy()
         returns[event_idx - 1] += effect
         price_file = f"prices_{n_code}.csv"
-        market_data.write_prices(
-            PriceSeries(n_code, dates, _prices_from_returns(50.0, returns), Currency.CNY),
-            out_dir / price_file,
-        )
+        try:
+            firm = PriceSeries(n_code, dates, _prices_from_returns(50.0, returns), Currency.CNY)
+        except NonPositivePrice:
+            raise ConfigError(
+                f"firm {n_code}'s simulated closes leave the floating-point range "
+                f"(effect = {effect!r}, days = {n_days})"
+            ) from None
+        market_data.write_prices(firm, out_dir / price_file)
         manifest_rows.append([
             f"Firm {i:02d}",
             str(600100 + i),

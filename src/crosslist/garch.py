@@ -8,9 +8,12 @@ Estimation maximizes the conditional log-likelihood over transformed
 parameters: alpha0 through a log map, and (alphas, gammas) jointly through
 a logistic simplex map that keeps every coefficient nonnegative with a sum
 strictly below one, so stationarity and positive variances hold for every
-parameter vector the optimizer can reach.  BFGS runs on the exact score
-(`_loglik`).  Returns are rescaled to unit residual variance internally and
-mapped back, which keeps the optimizer's tolerances scale-free.
+parameter vector the optimizer can reach.  A compact BFGS with a strong-Wolfe
+line search (`_bfgs`) runs on the exact score (`_loglik`), called through
+`scipy.optimize.minimize`'s custom-method hook so that tracers that wrap
+`minimize` still see each run.
+Returns are rescaled to unit residual variance internally and mapped back,
+which keeps the optimizer's tolerances scale-free.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .errors import NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
 from .linear_models import OlsFit, ols_fit
@@ -39,6 +42,9 @@ _REENTRY_MASS = 1e-3
 _KKT_TOL = 1e-3
 # sup-norm of the transformed-parameter score that counts as a stationary point
 _CONVERGED_GTOL = 1e-4
+# strong Wolfe constants (sufficient decrease, curvature), and trials per line search
+_C1, _C2 = 1e-4, 0.9
+_LINE_SEARCH_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -188,13 +194,18 @@ def _gaussian_loglik(eps, h) -> float:
     return float(-0.5 * np.sum(_LOG_2PI + np.log(h) + eps * eps / h))
 
 
+def _natural(theta) -> np.ndarray:
+    """Natural parameters (beta, alpha0, alphas, gammas) as one vector, from transformed ones."""
+    params = theta.copy()
+    params[3] = math.exp(min(theta[3], 60.0))
+    e = np.exp(params[4:].clip(-_Z_CLIP, _Z_CLIP))
+    params[4:] = e / (1.0 + e.sum())
+    return params
+
+
 def _decode(theta, q, p):
-    beta = theta[:3]
-    alpha0 = float(np.exp(min(theta[3], 60.0)))
-    z = np.clip(theta[4 : 4 + q + p], -_Z_CLIP, _Z_CLIP)
-    e = np.exp(z)
-    coefs = e / (1.0 + e.sum())
-    return beta, alpha0, coefs[:q], coefs[q:]
+    params = _natural(theta)
+    return params[:3], float(params[3]), params[4 : 4 + q], params[4 + q :]
 
 
 def _encode(beta, alpha0, alphas, gammas) -> np.ndarray:
@@ -216,16 +227,16 @@ def _loglik(params, y, X, q, p, h0, score=False):
     alpha0 = params[3]
     alphas = params[4 : 4 + q]
     gammas = params[4 + q :]
-    invalid = (np.nan, np.full(params.shape[0], np.nan)) if score else np.nan
-    if alpha0 <= 0:
-        return invalid
-    eps = y - X @ params[:3]
-    eps2 = eps * eps
-    h = _variance_filter(gammas, _driving_term(eps2, alpha0, alphas, gammas, h0))
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        return invalid
+    valid = alpha0 > 0
+    if valid:
+        eps = y - X @ params[:3]
+        eps2 = eps * eps
+        h = _variance_filter(gammas, _driving_term(eps2, alpha0, alphas, gammas, h0))
+        valid = h.min() > 0.0 and h.max() < math.inf  # a nan in h fails both
+    if not valid:
+        return (math.nan, np.full(params.shape[0], math.nan)) if score else math.nan
     z2 = eps2 / h  # squared standardized residuals
-    ll = float(-0.5 * np.sum(_LOG_2PI + np.log(h) + z2))
+    ll = float(-0.5 * (_LOG_2PI + np.log(h) + z2).sum())
     if not score:
         return ll
 
@@ -250,18 +261,17 @@ def _loglik(params, y, X, q, p, h0, score=False):
 def _transformed_loglik(theta, y, X, q, p, h0):
     """Log-likelihood at transformed parameters and its gradient in them.
 
-    The natural-parameter score is chained through `_decode`'s log and
+    The natural-parameter score is chained through `_natural`'s log and
     simplex maps.  A clipped coordinate (theta[3] above 60, or z outside
     +/- _Z_CLIP) has zero gradient, as the decoded parameters do not move.
     """
-    beta, alpha0, alphas, gammas = _decode(theta, q, p)
-    ll, grad = _loglik(np.concatenate([beta, [alpha0], alphas, gammas]), y, X, q, p, h0, score=True)
-    coefs = np.concatenate([alphas, gammas])
+    params = _natural(theta)
+    ll, grad = _loglik(params, y, X, q, p, h0, score=True)
+    coefs = params[4:]
     gc = grad[4:]
-    out = grad.copy()
-    out[3] = grad[3] * alpha0 if theta[3] <= 60.0 else 0.0
-    out[4:] = np.where(np.abs(theta[4:]) > _Z_CLIP, 0.0, coefs * (gc - coefs @ gc))
-    return ll, out
+    grad[3] = grad[3] * params[3] if theta[3] <= 60.0 else 0.0
+    grad[4:] = np.where(np.abs(theta[4:]) > _Z_CLIP, 0.0, coefs * (gc - coefs @ gc))
+    return ll, grad
 
 
 def _reentry_point(theta, y, X, q, p, h0):
@@ -276,9 +286,9 @@ def _reentry_point(theta, y, X, q, p, h0):
     Karush-Kuhn-Tucker condition); trapped components restart at
     _REENTRY_MASS, taken proportionally from the others.
     """
-    beta, alpha0, alphas, gammas = _decode(theta, q, p)
-    _, grad = _loglik(np.concatenate([beta, [alpha0], alphas, gammas]), y, X, q, p, h0, score=True)
-    s = np.concatenate([alphas, gammas, [1.0 - alphas.sum() - gammas.sum()]])
+    params = _natural(theta)
+    _, grad = _loglik(params, y, X, q, p, h0, score=True)
+    s = np.append(params[4:], 1.0 - params[4 : 4 + q].sum() - params[4 + q :].sum())
     g = np.append(grad[4:], 0.0)
     on_face = s < _FACE
     if not on_face.any():
@@ -288,7 +298,7 @@ def _reentry_point(theta, y, X, q, p, h0):
         return None
     s[trapped] = _REENTRY_MASS
     s[~trapped] *= (1.0 - s[trapped].sum()) / s[~trapped].sum()
-    return _encode(beta, alpha0, s[:q], s[q:-1])
+    return _encode(params[:3], params[3], s[:q], s[q:-1])
 
 
 def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
@@ -326,6 +336,98 @@ def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
     diag = np.diag(cov)
     with np.errstate(invalid="ignore"):
         return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic through the values and slopes at bracket ends lo and hi.
+
+    Nocedal & Wright (2006), eq. 3.59, kept a tenth of the bracket from either
+    end; the midpoint when the cubic has no minimizer.
+    """
+    (a0, f0, d0, _), (a1, f1, d1, _) = lo, hi
+    t1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    disc = t1 * t1 - d0 * d1
+    if disc >= 0.0:
+        t2 = math.copysign(math.sqrt(disc), a1 - a0)
+        if d1 - d0 + 2.0 * t2:
+            a = a1 - (a1 - a0) * (d1 + t2 - t1) / (d1 - d0 + 2.0 * t2)
+            margin = 0.1 * abs(a1 - a0)
+            return min(max(a, min(a0, a1) + margin), max(a0, a1) - margin)
+    return 0.5 * (a0 + a1)
+
+
+def _wolfe_step(phi, f0, d0, a):
+    """A step meeting the strong Wolfe conditions, as phi's (a, value, slope, gradient), or None.
+
+    f0 and d0 < 0 are the value and slope at step 0, `a` the first trial.  The
+    step doubles until it brackets an acceptable one (Nocedal & Wright 2006,
+    Algorithm 3.5), and the bracket is zoomed by `_cubic_step` (Algorithm 3.6),
+    or bisected when two trials have not cut it to 2/3 (More & Thuente 1994).
+    None after _LINE_SEARCH_TRIALS trials, or once the bracket is narrower than
+    1e-14 of the step (MINPACK's relative tolerance on the step).
+    """
+    lo, hi, widths = (0.0, f0, d0, None), None, [math.inf, math.inf]
+    for i in range(_LINE_SEARCH_TRIALS):
+        _, f, d, _ = trial = phi(a)
+        if f > f0 + _C1 * a * d0 or (i and f >= lo[1]):
+            hi = trial
+        elif abs(d) <= -_C2 * d0:
+            return trial
+        elif hi is None and d < 0.0:
+            lo, a = trial, 2.0 * a
+            continue
+        else:
+            if hi is None or d * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = trial
+        widths.append(abs(hi[0] - lo[0]))
+        if widths[-1] <= 1e-14 * max(lo[0], hi[0]):
+            return None
+        a = _cubic_step(lo, hi) if widths[-1] < 0.66 * widths[-3] else 0.5 * (lo[0] + hi[0])
+    return None
+
+
+def _bfgs(fun, x0, *, jac, gtol, maxiter, **_):
+    """BFGS with `_wolfe_step` line searches, as a `scipy.optimize.minimize` custom method.
+
+    `minimize(fun, x0, method=_bfgs, jac=True, options={"gtol": ..., "maxiter": ...})`
+    passes `fun` and its gradient `jac`, memoized from one call; the hook's other
+    keywords are unused.  The inverse Hessian starts at I and takes the BFGS update
+    (Nocedal & Wright 2006, eq. 6.17) when s'y > 0.  Each line search first tries
+    scipy's step min(1, 2.02 (f_k - f_{k-1}) / slope), with f_{-1} = f_0 + |g_0| / 2.
+    Success is a gradient sup-norm of at most `gtol`; a line search that finds no
+    step, or `maxiter` iterations, end the run without it.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x), jac(x)
+    nfev, nit, status, eye = 1, 0, 0, np.eye(x.shape[0])
+    H, f_prev = eye, f + math.sqrt(g @ g) / 2.0
+
+    def phi(a):
+        nonlocal nfev
+        nfev += 1
+        xa = x + a * direction
+        fa, ga = fun(xa), jac(xa)
+        return a, fa, float(ga @ direction), ga
+
+    while not np.abs(g).max() <= gtol:  # a nan gradient fails at the line search
+        direction = -(H @ g)
+        slope = float(g @ direction)
+        step = None
+        if nit < maxiter and slope < 0.0:
+            first = min(1.0, 2.02 * (f - f_prev) / slope)
+            step = _wolfe_step(phi, f, slope, first if first > 0.0 else 1.0)
+        if step is None:
+            status = 1 if nit == maxiter else 2
+            break
+        s, y = step[0] * direction, step[3] - g
+        x, f_prev, f, g, sy = x + s, f, step[1], step[3], float(s @ y)
+        if sy > 0.0:
+            A = eye - np.outer(s, y) / sy
+            H = A @ H @ A.T + np.outer(s, s) / sy
+        nit += 1
+    message = ("gradient sup-norm at most gtol", "maximum iterations reached", "line search failed")[status]
+    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status, success=not status, message=message)
 
 
 def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec()) -> GarchFit:
@@ -407,7 +509,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_f, best_x, best_g
         ll, grad = _transformed_loglik(theta, ys, Xs, q, p, h0s)
-        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(ll) and np.isfinite(grad).all()):
             return _BIG, np.zeros_like(theta)
         if -ll < best_f:
             best_f = -ll
@@ -419,13 +521,13 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
         raise NonFiniteLikelihood("log-likelihood is not finite at the starting point")
 
     options = {"maxiter": 500, "gtol": 1e-7}
-    res = minimize(objective, theta0, method="BFGS", jac=True, options=options)
+    res = minimize(objective, theta0, method=_bfgs, jac=True, options=options)
     # one fresh run when the first is trapped on a simplex face or stalled
     # (a failed line search on a stale inverse Hessian); the better run counts
     start = _reentry_point(best_x, ys, Xs, q, p, h0s)
     if start is not None or not res.success:
         retry = minimize(
-            objective, best_x if start is None else start, method="BFGS", jac=True, options=options
+            objective, best_x if start is None else start, method=_bfgs, jac=True, options=options
         )
         if retry.fun < res.fun:
             res = retry

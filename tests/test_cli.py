@@ -95,6 +95,8 @@ class TestSimulate:
             ("days = 2", "days must be in [3, 2085535], got 2"),
             (f"days = {MAX_SIM_DAYS + 1}", "days must be in [3, 2085535], got 2085536"),
             ("seed = -1", "seed must be >= 0, got -1"),
+            ("effect = nan", "effect must be finite, got nan"),
+            ("effect = -inf", "effect must be finite, got -inf"),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, setting, message):
@@ -107,6 +109,19 @@ class TestSimulate:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_closes_out_of_range_are_config_error(self, tmp_path, capsys):
+        # a finite effect so large that exp() overflows on the listing day
+        config = tmp_path / "run.ini"
+        config.write_text("[simulate]\nfirms = 2\ndays = 300\neffect = 1e6\n", encoding="utf-8")
+        out = tmp_path / "bundle"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        message = "firm F00's simulated closes leave the floating-point range (effect = 1000000.0, days = 300)"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (out / "prices_F00.csv").exists() and not (out / "manifest.csv").exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         out = tmp_path / "bundle"

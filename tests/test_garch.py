@@ -3,13 +3,16 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import OptimizeResult, minimize, rosen, rosen_der
 
 from crosslist.errors import NonStationaryParameters, SeriesTooShort
 from crosslist.garch import (
+    _C1,
+    _C2,
     GarchFit,
     GarchSimConfig,
     GarchSpec,
+    _bfgs,
     _conditional_variances,
     _decode,
     _encode,
@@ -17,6 +20,7 @@ from crosslist.garch import (
     _loglik,
     _transformed_loglik,
     _variance_filter,
+    _wolfe_step,
     fit_garch_market_model,
     select_lags,
     simulate_garch,
@@ -29,6 +33,18 @@ from .support import simulate_garch_values_reference
 
 def make_indexes(rng, n):
     return 0.01 * rng.standard_normal(n), 0.01 * rng.standard_normal(n)
+
+
+def counted_runs(monkeypatch) -> list:
+    """The results of every optimizer run a fit makes from here on, in order."""
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("crosslist.garch.minimize", counted)
+    return runs
 
 
 def sim_config(n, seed, alpha0=4e-5, alphas=(0.1,), gammas=(0.8,), beta=(0.0002, 0.6, 0.3)):
@@ -299,6 +315,31 @@ class TestFitRecovery:
         fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
         assert fit.converged
 
+    def test_face_trapped_run_reenters(self, monkeypatch):
+        # the first run ends successfully with alphas[0] at 1 and both gammas
+        # below 1e-12, on simplex faces, although the likelihood rises 1.67
+        # into the interior; the re-entered run finds that rise
+        runs = counted_runs(monkeypatch)
+        rng = np.random.default_rng(25)
+        loc, us = make_indexes(rng, 91)
+        sim = simulate_garch(sim_config(91, seed=25), loc, us)
+        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(2, 1))
+        assert len(runs) == 2 and runs[0].success
+        assert runs[0].fun - runs[1].fun > 1.5
+        assert fit.converged and fit.gammas[1] > 0.03
+
+    def test_run_stopped_far_from_optimum_restarts(self, monkeypatch):
+        # the first run's line search fails where the score's sup-norm is about
+        # 20 and the log-likelihood 1.62 short; the restart converges
+        runs = counted_runs(monkeypatch)
+        rng = np.random.default_rng(19)
+        loc, us = make_indexes(rng, 91)
+        sim = simulate_garch(sim_config(91, seed=19), loc, us)
+        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
+        assert len(runs) == 2 and not runs[0].success and np.abs(runs[0].jac).max() > 1.0
+        assert runs[0].fun - runs[1].fun > 1.5
+        assert fit.converged
+
     def test_no_local_ascent_left_at_fitted_point(self):
         # gradient-free oracle: Nelder-Mead in the optimizer's coordinates,
         # started at each returned point, must not find a higher likelihood;
@@ -423,6 +464,78 @@ def mp_std_errors(params, y, X, q, p, h0):
                 ) / (4 * steps[i] * steps[j])
         cov = mp.inverse(-H)
         return np.array([float(mp.sqrt(cov[i, i])) for i in range(k)])
+
+
+class TestBfgs:
+    OPTIONS = {"gtol": 1e-7, "maxiter": 500}
+
+    @staticmethod
+    def quadratic():
+        rng = np.random.default_rng(3)
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        A = Q @ np.diag([1.0, 3.0, 10.0, 30.0, 100.0]) @ Q.T
+        b = rng.standard_normal(5)
+        return (lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b)), np.linalg.solve(A, b)
+
+    @pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
+    def test_reaches_gtol_and_counts(self, problem):
+        if problem == "quadratic":
+            fun, x_star = self.quadratic()
+            x0 = np.zeros(5)
+        else:
+            fun, x_star, x0 = (lambda x: (rosen(x), rosen_der(x))), np.ones(4), np.array([-1.2, 1.0, -1.2, 1.0])
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return fun(x)
+
+        res = minimize(counted, x0, method=_bfgs, jac=True, options=self.OPTIONS)
+        assert res.success and res.status == 0
+        assert np.abs(fun(res.x)[1]).max() <= 1e-7
+        np.testing.assert_allclose(res.x, x_star, atol=1e-6)
+        assert res.nfev == len(calls) and 0 < res.nit < res.nfev
+        assert res.fun == fun(res.x)[0]
+
+    @pytest.mark.parametrize("problem", ["rosenbrock", "garch"])
+    def test_accepted_steps_meet_strong_wolfe(self, monkeypatch, problem):
+        accepted = []
+
+        def checked(phi, f0, d0, a):
+            step = _wolfe_step(phi, f0, d0, a)
+            if step is not None:
+                accepted.append((f0, d0, *step[:3]))
+            return step
+
+        monkeypatch.setattr("crosslist.garch._wolfe_step", checked)
+        if problem == "rosenbrock":
+            res = minimize(
+                lambda x: (rosen(x), rosen_der(x)), np.array([-1.2, 1.0, -1.2, 1.0]),
+                method=_bfgs, jac=True, options=self.OPTIONS,
+            )
+            assert res.success and len(accepted) == res.nit > 10
+        else:
+            # the fit whose first run stops on a failed line search (see TestFitRecovery)
+            rng = np.random.default_rng(19)
+            loc, us = make_indexes(rng, 91)
+            sim = simulate_garch(sim_config(91, seed=19), loc, us)
+            fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
+            assert len(accepted) > 50
+        for f0, d0, a, f, d in accepted:
+            assert d0 < 0 and a > 0
+            assert f <= f0 + _C1 * a * d0
+            assert abs(d) <= -_C2 * d0
+
+    def test_failed_line_search_reports_failure_without_losing_ground(self):
+        # the gradient points the wrong way, so no step along -H g decreases f
+        def fun(x):
+            return float(x @ x), -2.0 * x
+
+        x0 = np.array([1.0, -2.0, 0.5])
+        res = minimize(fun, x0, method=_bfgs, jac=True, options=self.OPTIONS)
+        assert not res.success and res.status == 2 and res.nit == 0
+        assert res.fun <= fun(x0)[0]
+        np.testing.assert_array_equal(res.x, x0)
 
 
 class TestStdErrors:
