@@ -288,7 +288,10 @@ def _reentry_point(theta, y, X, q, p, h0):
     """
     params = _natural(theta)
     _, grad = _loglik(params, y, X, q, p, h0, score=True)
-    s = np.append(params[4:], 1.0 - params[4 : 4 + q].sum() - params[4 + q :].sum())
+    # the simplex as `_natural` builds it, with the slack as a quotient: 1 - sum
+    # can round to zero or below on a face, and every part must stay > 0
+    e = np.exp(theta[4:].clip(-_Z_CLIP, _Z_CLIP))
+    s = np.append(e, 1.0) / (1.0 + e.sum())
     g = np.append(grad[4:], 0.0)
     on_face = s < _FACE
     if not on_face.any():
@@ -298,7 +301,7 @@ def _reentry_point(theta, y, X, q, p, h0):
         return None
     s[trapped] = _REENTRY_MASS
     s[~trapped] *= (1.0 - s[trapped].sum()) / s[~trapped].sum()
-    return _encode(params[:3], params[3], s[:q], s[q:-1])
+    return np.concatenate([params[:3], [np.log(params[3])], np.log(s[:-1] / s[-1])])
 
 
 def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:

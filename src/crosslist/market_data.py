@@ -5,10 +5,14 @@ row, so a batch run never silently drops or patches bad input.  Numeric
 cells accept a decimal comma (normalized to a decimal point at ingest) and
 must be finite; dates must be ISO-8601 `YYYY-MM-DD`; files must be UTF-8.
 
-The dated-value loaders check whole columns at once.  Only when one of those
-checks fails do the per-row checks run, over the same rows, to raise the
-error that names the first bad row.  Dates are compared and aligned as
-sorted int64 day numbers (`date.toordinal`).
+The dated-value loaders check the file's text: the header line, then one
+regular expression that pins every line to `YYYY-MM-DD,<cell>`, then whole
+columns (numpy's `datetime64[D]` parse of the dates, `float` over the
+values).  Any other file goes through `csv.reader` and the per-row checks,
+at per-row speed: they raise the error that names the first bad row, or
+load a valid file of another shape (quoted or decimal-comma cells, padded
+cells, blank lines, lone-CR line ends, a header in other case).  Dates are
+compared and aligned as sorted int64 day numbers (`date.toordinal`).
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import partial, reduce
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -227,37 +229,45 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
     return records
 
 
-def _parse_columns(
-    rows: list[list[str]], *, require_positive: bool
+def _parse_text(
+    path: str | Path, columns: Sequence[str], *, require_positive: bool
 ) -> tuple[tuple[date, ...], np.ndarray] | None:
-    """Every check of `_check_rows`, made on whole columns; None if any fails.
+    """Every check of `_check_rows`, made on the file's text; None if any fails.
 
-    Replacing every comma in a value cell matches `_to_float`'s decimal-comma
-    rule: a cell holding both a comma and a point fails `float` either way.
+    Takes a file only where `csv.reader` would split every line into the same
+    two cells: the header line is exactly `columns`, and every other line is
+    `YYYY-MM-DD,<cell>` ended by LF or CRLF (the last line may have no end),
+    where the cell holds no comma, quote or line break and fits csv's field
+    size limit.  `float` drops the padding `_to_float` strips, or fails;
+    numpy parses the dates as `date.fromisoformat` does, except year 0.
     """
-    if not set(map(len, rows)) <= {2}:
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            head, _, body = f.read().partition("\n")
+    except UnicodeDecodeError:
         return None
-    date_text = list(map(str.strip, map(itemgetter(0), rows)))
-    # with every cell 10 characters long, the joined column matches the
-    # repeated pattern exactly when each cell matches it
-    if not (
-        set(map(len, date_text)) <= {10}
-        and re.fullmatch(f"(?:{_YYYY_MM_DD})*", "".join(date_text))
+    # re takes repeat counts below 2**32; a longer cell only sends the file per row
+    limit = min(csv.field_size_limit(), 2**31)
+    line = f'{_YYYY_MM_DD},[^,"\r\n]{{0,{limit}}}'
+    if head.removesuffix("\r") != ",".join(columns) or not re.fullmatch(
+        f"(?:{line}\r?\n)*(?:{line})?", body
     ):
         return None
-    value_text = map(str.replace, map(str.strip, map(itemgetter(1), rows)), repeat(","), repeat("."))
+    cells = body.removesuffix("\n").replace("\n", ",").split(",") if body else []
     try:
-        dates = list(map(date.fromisoformat, date_text))
-        values = np.fromiter(map(float, value_text), dtype=float, count=len(rows))
+        days = np.array(cells[0::2], dtype="datetime64[D]")
+        values = np.fromiter(map(float, cells[1::2]), dtype=float, count=len(days))
     except ValueError:
         return None
+    ordinals = days.view(np.int64) + _UNIX_EPOCH_ORDINAL
     if (
-        np.any(np.diff(_day_numbers(dates)) <= 0)
+        np.any(ordinals[:1] < 1)
+        or np.any(np.diff(ordinals) <= 0)
         or not np.all(np.isfinite(values))
         or (require_positive and np.any(values <= 0))
     ):
         return None
-    return tuple(dates), values
+    return tuple(days.tolist()), values
 
 
 def _check_rows(
@@ -269,8 +279,8 @@ def _check_rows(
 ) -> tuple[tuple[date, ...], np.ndarray]:
     """The per-row checks: raise the error naming the first bad row, else return.
 
-    Loading runs them only after a column check of `_parse_columns` failed;
-    the tests use them as the reference that the column checks must match.
+    Loading runs them only on a file that `_parse_text` does not take;
+    the tests use them as the reference that the text checks must match.
     """
     dates: list[date] = []
     values: list[float] = []
@@ -312,11 +322,9 @@ def _load_dated_values(
     *,
     require_positive: bool,
 ) -> tuple[tuple[date, ...], np.ndarray]:
-    rows = _read_rows(path, columns)
-    parsed = _parse_columns(rows, require_positive=require_positive)
+    parsed = _parse_text(path, columns, require_positive=require_positive)
     if parsed is None:
-        _check_rows(path, columns, rows, require_positive=require_positive)
-        raise RuntimeError(f"{path}: a column check failed that no row check reproduces")
+        return _check_rows(path, columns, _read_rows(path, columns), require_positive=require_positive)
     return parsed
 
 

@@ -1,5 +1,7 @@
 """GARCH market-model estimation, lag selection, and the simulation oracle."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -338,6 +340,29 @@ class TestFitRecovery:
         fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
         assert len(runs) == 2 and not runs[0].success and np.abs(runs[0].jac).max() > 1.0
         assert runs[0].fun - runs[1].fun > 1.5
+        assert fit.converged
+
+    def test_reentry_from_untrapped_slack_on_face_is_finite(self, monkeypatch):
+        # the first run ends with alphas[1] trapped on its face and the slack
+        # 1 - sum on its face too (5.6e-17) but not trapped; 1 - sum of the
+        # rescaled coefficients rounds to zero, and the restart must still
+        # be a finite point from which the lag coefficients move
+        starts, runs = [], []
+
+        def recorded(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            runs.append(minimize(fun, x0, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr("crosslist.garch.minimize", recorded)
+        rng = np.random.default_rng(28)
+        loc, us = make_indexes(rng, 91)
+        sim = simulate_garch(sim_config(91, seed=28), loc, us)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(2, 2))
+        assert len(runs) == 2 and np.isfinite(starts[1]).all()
+        assert np.abs(runs[1].x[4:] - starts[1][4:]).max() > 0.5
         assert fit.converged
 
     def test_no_local_ascent_left_at_fitted_point(self):

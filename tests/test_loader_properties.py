@@ -6,13 +6,16 @@ header whose rows mix cells valid for their column with arbitrary ones, so
 that rows get past the first checks and reach the later ones (duplicate
 codes, repeated or unsorted dates, non-positive or non-finite numbers).
 
-The dated-value loaders check whole columns and fall back to the per-row
-checks only to name the first bad row; on any file the two must agree.
+The dated-value loaders check the file's text and fall back to the per-row
+checks to name the first bad row, or to read a shape the text check does not
+take; on any file, in any line ending or quoting `csv.reader` reads, the
+two must agree.
 `align` and `convert_to_usd` must agree with set-based references, and
 `write_prices` with a `csv.writer` reference byte for byte.
 """
 
 import csv
+import io
 import math
 import sys
 from datetime import date, timedelta
@@ -20,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crosslist import market_data
 from crosslist.errors import CrosslistError, EmptyIntersection
 from crosslist.market_data import (
     FX_COLUMNS,
@@ -143,15 +147,18 @@ bad_value = st.sampled_from(
 )
 
 
-def _padded(text: str):
-    return st.tuples(PAD, PAD).map(lambda pads: pads[0] + text + pads[1])
+def _padded(text: str, pad=PAD):
+    return st.tuples(pad, pad).map(lambda pads: pads[0] + text + pads[1])
 
 
 @st.composite
-def dated_rows(draw):
+def dated_rows(draw, pad=PAD, value=number):
     """The rows of a valid file, then up to three edits that may break it."""
     rows = [
-        [draw(_padded((DAY0 + timedelta(days=day)).isoformat())), draw(number.flatmap(_padded))]
+        [
+            draw(_padded((DAY0 + timedelta(days=day)).isoformat(), pad)),
+            draw(value.flatmap(lambda text: _padded(text, pad))),
+        ]
         for day in sorted(draw(st.sets(st.integers(0, 40), max_size=10)))
     ]
     for _ in range(draw(st.integers(0, 3))):
@@ -175,6 +182,27 @@ def dated_rows(draw):
     return rows
 
 
+# every file shape csv.reader takes, as csv.writer options and whether the
+# last line keeps its terminator
+FILE_SHAPES = {
+    "lf": ({"lineterminator": "\n"}, True),
+    "crlf": ({"lineterminator": "\r\n"}, True),
+    "cr": ({"lineterminator": "\r"}, True),
+    "unended": ({"lineterminator": "\n"}, False),
+    "quote_all": ({"lineterminator": "\n", "quoting": csv.QUOTE_ALL}, True),
+}
+
+
+def _write_dated(path: Path, columns, rows, shape: str) -> None:
+    options, ended = FILE_SHAPES[shape]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, **options)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    path.write_text(text if ended else text.removesuffix(options["lineterminator"]), "utf-8", newline="")
+
+
 def _outcome(load):
     try:
         dates, values = load()
@@ -191,14 +219,13 @@ def _outcome(load):
 def test_column_checks_match_row_checks(work, columns, positive):
     path = work / f"columns_{columns[1]}.csv"
     seen = {"loaded": 0, "rejected": 0}
+    shapes = set()
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=dated_rows())
-    def check(rows):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
+    @given(rows=dated_rows(), shape=st.sampled_from(sorted(FILE_SHAPES)))
+    def check(rows, shape):
+        _write_dated(path, columns, rows, shape)
+        shapes.add(shape)
         by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive))
         by_row = _outcome(
             lambda: _check_rows(path, columns, _read_rows(path, columns), require_positive=positive)
@@ -208,6 +235,52 @@ def test_column_checks_match_row_checks(work, columns, positive):
 
     check()
     assert seen["loaded"] and seen["rejected"]
+    assert shapes == set(FILE_SHAPES)
+
+
+def _each_shape(test):
+    """Run `test` on one two-row file that loads, in every file shape."""
+    for shape in sorted(FILE_SHAPES):
+        test = example(rows=[["2006-01-02", "1.5"], ["2006-01-03", "2.5"]], shape=shape)(test)
+    return test
+
+
+@pytest.mark.parametrize(
+    "columns, positive",
+    [(PRICE_COLUMNS, True), (FX_COLUMNS, True), (RISK_FREE_COLUMNS, False)],
+    ids=["prices", "fx", "risk_free"],
+)
+def test_text_check_takes_unpadded_files(work, monkeypatch, columns, positive):
+    # unpadded cells reach the text check's own parse far more often than
+    # the padded ones above; it must still agree with the per-row checks,
+    # and take the LF, CRLF and unended files of more than one row that load
+    path = work / f"text_{columns[1]}.csv"
+    per_row = []
+    monkeypatch.setattr(
+        market_data, "_check_rows", lambda *args, **kwargs: per_row.append(1) or _check_rows(*args, **kwargs)
+    )
+    by_text = set()
+    plain = st.floats(1e-6, 1e12).map(repr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=dated_rows(pad=st.just(""), value=st.one_of(plain, plain, number)),
+        shape=st.sampled_from(sorted(FILE_SHAPES)),
+    )
+    @_each_shape
+    def check(rows, shape):
+        _write_dated(path, columns, rows, shape)
+        per_row.clear()
+        by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive))
+        by_row = _outcome(
+            lambda: _check_rows(path, columns, _read_rows(path, columns), require_positive=positive)
+        )
+        assert by_column == by_row
+        if not per_row and len(by_column[0]) > 1:
+            by_text.add(shape)
+
+    check()
+    assert by_text == {"lf", "crlf", "unended"}
 
 
 def _series(name: str, days, offset: float) -> PriceSeries:

@@ -7,7 +7,9 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from crosslist import market_data
 from crosslist.errors import (
+    CrosslistError,
     DuplicateCode,
     DuplicateDate,
     EmptyIntersection,
@@ -20,9 +22,12 @@ from crosslist.errors import (
     UnsortedInputAfterParse,
 )
 from crosslist.market_data import (
+    PRICE_COLUMNS,
     Currency,
     PriceSeries,
     RateSeries,
+    _check_rows,
+    _read_rows,
     align,
     build_event_frame,
     convert_to_usd,
@@ -243,6 +248,66 @@ class TestLoadPrices:
         path.write_text('date,close\n2007-01-08,"' + "1" * 200_000 + '"\n', encoding="utf-8")
         with pytest.raises(MissingField, match="p.csv: malformed CSV"):
             load_prices(path)
+
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            # numpy parses year 0, date.fromisoformat does not
+            ("0000-12-31,1.5\n2006-01-03,1.5\n", UnparsableDate),
+            ("2006-02-30,1.5\n", UnparsableDate),
+            # csv.reader ends a row at a lone CR: the close is a row of its own
+            ("2006-01-03,\r1.5\n", MissingField),
+            # a flat split of the body pairs these cells up again
+            ("2006-01-03\n1.5,2006-01-04,2.5\n", MissingField),
+            # str.strip drops the separator, float does not
+            ("2006-01-03,\x1c1.5\n", None),
+            # past csv's field size limit
+            ("2006-01-03," + "0" * 200_000 + "1.5\n", MissingField),
+        ],
+        ids=["year-0000", "feb-30", "lone-cr", "comma-moved", "separator-pad", "long-cell"],
+    )
+    def test_text_check_traps_match_row_checks(self, tmp_path, body, want):
+        # each trap goes through load_prices and must end as the per-row checks do
+        path = tmp_path / "p.csv"
+        path.write_text("date,close\n" + body, encoding="utf-8", newline="")
+
+        def outcome(load):
+            try:
+                dates, closes = load()
+            except CrosslistError as exc:
+                return type(exc), str(exc)
+            return dates, closes.tolist()
+
+        by_row = outcome(
+            lambda: _check_rows(path, PRICE_COLUMNS, _read_rows(path, PRICE_COLUMNS), require_positive=True)
+        )
+        if want:
+            assert by_row[0] is want
+        else:
+            assert by_row == ((date(2006, 1, 3),), [1.5])
+
+        def load():
+            series = load_prices(path)
+            return series.dates, series.closes
+
+        assert outcome(load) == by_row
+
+    def test_written_files_load_without_row_checks(self, tmp_path, monkeypatch):
+        # the text check must take what write_prices writes, and its CRLF copy;
+        # a file it declines still loads, per row, only slower
+        calls = []
+        monkeypatch.setattr(
+            market_data, "_check_rows", lambda *args, **kwargs: calls.append(args) or _check_rows(*args, **kwargs)
+        )
+        rng = np.random.default_rng(3)
+        dates = tuple(weekday_dates(date(2005, 1, 3), 500))
+        series = PriceSeries("lf", dates, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(500))))
+        write_prices(series, tmp_path / "lf.csv")
+        (tmp_path / "crlf.csv").write_bytes((tmp_path / "lf.csv").read_bytes().replace(b"\n", b"\r\n"))
+        for name in ("lf", "crlf"):
+            loaded = load_prices(tmp_path / f"{name}.csv")
+            assert loaded.dates == dates and loaded.closes.tolist() == series.closes.tolist()
+        assert calls == []
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "p.csv"
