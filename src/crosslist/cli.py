@@ -2,8 +2,10 @@
 event study, and generate synthetic bundles.
 
 Commands are deterministic given (config, seed): repeated runs write
-byte-identical CSV and JSON reports.  Exit codes: 0 success, 1 analysis
-failed (e.g. every firm skipped), 2 input or configuration error.
+byte-identical CSV and JSON reports.  `main` is the one place that maps
+errors to exit codes: 0 success, 1 analysis failed (e.g. every firm
+skipped), 2 input or configuration error (a `CrosslistError` or `OSError`
+that escapes the command, printed as `error: <message>`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market_data
-from .errors import CrosslistError, NonPositivePrice
+from .errors import CrosslistError, MissingField, NonPositivePrice
 from .event_study import (
     EventWindows,
     OffsetRange,
@@ -56,7 +58,7 @@ class ConfigError(CrosslistError):
 
 @dataclass
 class RunConfig:
-    """Everything a command needs, resolved from the config file and flags."""
+    """Everything a command needs, from the config file and flags; a bad period or lag is a ConfigError."""
 
     config_dir: Path
     manifest_path: Path | None = None
@@ -77,25 +79,35 @@ class RunConfig:
     sim_days: int = 300
     sim_effect: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.period not in PERIODS_PER_YEAR:
+            raise ConfigError(f"capm period must be one of {sorted(PERIODS_PER_YEAR)}, got {self.period!r}")
+        if not (1 <= self.max_p <= MAX_VARIANCE_LAGS and 1 <= self.max_q <= MAX_VARIANCE_LAGS):
+            raise ConfigError(f"garch max_p/max_q must be in [1, {MAX_VARIANCE_LAGS}]")
 
-def _parse_range(text: str, key: str) -> OffsetRange:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{key} must be 'lo,hi', got {text!r}")
+
+def _parse_ints(text: str, count: int, key: str) -> list[int]:
+    """`count` comma-separated integers, or a ConfigError naming `key`."""
     try:
-        return OffsetRange(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ConfigError(f"{key} must be {count} comma-separated integers, got {text!r}")
+    return values
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse the flat sectioned key=value config file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8 text") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -105,14 +117,14 @@ def load_config(path: str | Path) -> RunConfig:
         raw = parser.get(section, key, fallback="").strip()
         return (base / raw) if raw else None
 
-    windows_kwargs = {}
-    for key in ("estimation", "event", "pre_var", "post_var"):
-        raw = parser.get("windows", key, fallback="").strip()
-        if raw:
-            windows_kwargs[key] = _parse_range(raw, f"windows.{key}")
     try:
+        windows_kwargs = {}
+        for key in ("estimation", "event", "pre_var", "post_var"):
+            raw = parser.get("windows", key, fallback="").strip()
+            if raw:
+                windows_kwargs[key] = OffsetRange(*_parse_ints(raw, 2, f"windows.{key}"))
         windows = EventWindows(**windows_kwargs)
-        config = RunConfig(
+        return RunConfig(
             config_dir=base,
             manifest_path=_path("data", "manifest"),
             local_index_path=_path("data", "local_index"),
@@ -134,15 +146,12 @@ def load_config(path: str | Path) -> RunConfig:
         )
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if config.period not in PERIODS_PER_YEAR:
-        raise ConfigError(f"capm period must be one of {sorted(PERIODS_PER_YEAR)}, got {config.period!r}")
-    if not (1 <= config.max_p <= MAX_VARIANCE_LAGS and 1 <= config.max_q <= MAX_VARIANCE_LAGS):
-        raise ConfigError(f"garch max_p/max_q must be in [1, {MAX_VARIANCE_LAGS}]")
-    return config
 
 
 def _fmt(value) -> str:
-    """Report numbers at nine significant digits with a decimal point."""
+    """Report numbers at nine significant digits with a decimal point, booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -166,6 +175,13 @@ def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _require_rows(loaded, path: Path):
+    """`loaded` (a price or rate series), or an error naming `path` if it has no rows."""
+    if not loaded.dates:
+        raise MissingField(f"{path}: no rows after the header")
+    return loaded
+
+
 # --------------------------------------------------------------------------
 # validate
 # --------------------------------------------------------------------------
@@ -174,50 +190,45 @@ def cmd_validate(config: RunConfig) -> int:
     """Check every configured file: schema, row counts, date ranges, alignment."""
     problems = 0
 
-    def _describe_prices(label: str, path: Path) -> PriceSeries | None:
+    def _report(label: str, path: Path, load, describe):
+        """Load `path` and print `describe` of it; report a failure and return None."""
         nonlocal problems
-        if not path.exists():
-            _warn(f"error: {label}: file not found: {path}")
-            problems += 1
-            return None
         try:
-            series = market_data.load_prices(path, Currency.OTHER)
-        except CrosslistError as exc:
+            if not path.exists():
+                raise FileNotFoundError(f"file not found: {path}")
+            loaded = load(path)
+            _say(f"{label}: {describe(loaded)}")
+            return loaded
+        except (CrosslistError, OSError) as exc:
             _warn(f"error: {label}: {exc}")
             problems += 1
             return None
-        _say(
-            f"{label}: {len(series)} rows, "
-            f"{series.dates[0].isoformat()}..{series.dates[-1].isoformat()}"
-        )
-        return series
+
+    def _load_prices(path: Path) -> PriceSeries:
+        return _require_rows(market_data.load_prices(path, Currency.OTHER), path)
+
+    def _describe_prices(series: PriceSeries) -> str:
+        return f"{len(series)} rows, {series.dates[0].isoformat()}..{series.dates[-1].isoformat()}"
 
     records = []
     if config.manifest_path is not None:
-        if not config.manifest_path.exists():
-            _warn(f"error: manifest: file not found: {config.manifest_path}")
-            problems += 1
-        else:
-            try:
-                records = market_data.load_manifest(config.manifest_path)
-                _say(f"manifest: {len(records)} instruments")
-                if not records:
-                    _warn("warning: no instruments in manifest")
-            except CrosslistError as exc:
-                _warn(f"error: manifest: {exc}")
-                problems += 1
+        records = _report(
+            "manifest", config.manifest_path, market_data.load_manifest, lambda r: f"{len(r)} instruments"
+        )
+        if records == []:  # loaded, and empty
+            _warn("warning: no instruments in manifest")
 
-    indexes: list[PriceSeries] = []
-    for label, path in (("local_index", config.local_index_path), ("us_index", config.us_index_path)):
-        if path is not None:
-            series = _describe_prices(label, path)
-            if series is not None:
-                indexes.append(series)
+    indexes = [
+        _report(label, path, _load_prices, _describe_prices)
+        for label, path in (("local_index", config.local_index_path), ("us_index", config.us_index_path))
+        if path is not None
+    ]
+    can_align = len(indexes) == 2 and None not in indexes
 
-    for rec in records:
+    for rec in records or ():
         path = config.manifest_path.parent / rec.price_file
-        series = _describe_prices(f"prices[{rec.n_code}]", path)
-        if series is not None and len(indexes) == 2:
+        series = _report(f"prices[{rec.n_code}]", path, _load_prices, _describe_prices)
+        if series is not None and can_align:
             try:
                 panel = align([series] + indexes)
                 lost = len(series) - len(panel.common_dates)
@@ -226,24 +237,13 @@ def cmd_validate(config: RunConfig) -> int:
                 _warn(f"error: alignment[{rec.n_code}]: {exc}")
                 problems += 1
 
-    for label, path in (
-        ("fx", config.fx_path),
-        ("local_risk_free", config.local_risk_free_path),
-        ("us_risk_free", config.us_risk_free_path),
+    for label, path, loader in (
+        ("fx", config.fx_path, market_data.load_fx),
+        ("local_risk_free", config.local_risk_free_path, market_data.load_risk_free),
+        ("us_risk_free", config.us_risk_free_path, market_data.load_risk_free),
     ):
-        if path is None:
-            continue
-        if not path.exists():
-            _warn(f"error: {label}: file not found: {path}")
-            problems += 1
-            continue
-        try:
-            loader = market_data.load_fx if label == "fx" else market_data.load_risk_free
-            rates = loader(path)
-            _say(f"{label}: {len(rates.dates)} rows")
-        except CrosslistError as exc:
-            _warn(f"error: {label}: {exc}")
-            problems += 1
+        if path is not None:
+            _report(label, path, loader, lambda rates: f"{len(rates.dates)} rows")
 
     if problems:
         _warn(f"validation failed: {problems} problem(s)")
@@ -257,7 +257,7 @@ def cmd_validate(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def _mean_annual_yield_as_period_rate(path: Path, period: str) -> float:
-    rates = market_data.load_risk_free(path)
+    rates = _require_rows(market_data.load_risk_free(path), path)
     return float(np.mean(rates.values)) / 100.0 / PERIODS_PER_YEAR[period]
 
 
@@ -269,13 +269,8 @@ def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float
     returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
     y, x = returns["stock"], returns["index"]
     fit = ols_fit(y, [x])
-    if fit.s2 == 0.0:
-        dw = float("nan")  # exact fit: the statistic is 0/0
-    else:
-        try:
-            dw = durbin_watson(fit.residuals)
-        except CrosslistError:
-            dw = float("nan")
+    # an exact fit makes the statistic 0/0; any other fit has nonzero residuals
+    dw = float("nan") if fit.s2 == 0.0 else durbin_watson(fit.residuals)
     market_mean = float(np.mean(x))
     capm = capm_expected_return(float(fit.betas[0]), rf, market_mean)
     se = fit.std_errors
@@ -301,20 +296,15 @@ def cmd_capm(config: RunConfig) -> int:
     if config.capm_n_prices is not None:
         classes.append(("N", config.capm_n_prices, config.us_index_path, config.us_risk_free_path))
     if not classes:
-        _warn("error: no capm classes configured (set capm a_prices and/or n_prices)")
-        return 2
+        raise ConfigError("no capm classes configured (set capm a_prices and/or n_prices)")
 
     rows = []
     for label, prices_path, index_path, rf_path in classes:
         if index_path is None:
             _warn(f"class {label} skipped: no index series configured")
             continue
-        try:
-            index = market_data.load_prices(index_path, Currency.OTHER)
-            rf = None if rf_path is None else _mean_annual_yield_as_period_rate(rf_path, config.period)
-        except (CrosslistError, OSError) as exc:
-            _warn(f"error: class {label}: {exc}")
-            return 2
+        index = market_data.load_prices(index_path, Currency.OTHER)
+        rf = None if rf_path is None else _mean_annual_yield_as_period_rate(rf_path, config.period)
         try:
             rows.append(_capm_class_row(label, prices_path, index, rf))
         except (CrosslistError, OSError) as exc:
@@ -348,16 +338,11 @@ def _event_offsets(frame, return_dates) -> np.ndarray:
 def cmd_event_study(config: RunConfig) -> int:
     """Run the full pipeline over the manifest and write the four reports."""
     if config.manifest_path is None or config.local_index_path is None or config.us_index_path is None:
-        _warn("error: event-study needs manifest, local_index, and us_index configured")
-        return 2
-    try:
-        records = market_data.load_manifest(config.manifest_path)
-        local_prices = market_data.load_prices(config.local_index_path, Currency.OTHER)
-        us_prices = market_data.load_prices(config.us_index_path, Currency.USD)
-        fx = market_data.load_fx(config.fx_path) if config.fx_path else None
-    except (CrosslistError, OSError) as exc:
-        _warn(f"error: {exc}")
-        return 2
+        raise ConfigError("event-study needs manifest, local_index, and us_index configured")
+    records = market_data.load_manifest(config.manifest_path)
+    local_prices = market_data.load_prices(config.local_index_path, Currency.OTHER)
+    us_prices = market_data.load_prices(config.us_index_path, Currency.USD)
+    fx = market_data.load_fx(config.fx_path) if config.fx_path else None
     if not records:
         _warn("event-study failed: manifest has no instruments")
         return 1
@@ -372,7 +357,6 @@ def cmd_event_study(config: RunConfig) -> int:
     firm_returns_for_variance = {}
     skipped: dict[str, str] = {}
     diagnostics: dict[str, dict] = {}
-    analyzed: list[str] = []
 
     for rec in records:
         firm_id = rec.n_code
@@ -407,7 +391,6 @@ def cmd_event_study(config: RunConfig) -> int:
             }
             firm_results.append(result)
             firm_returns_for_variance[firm_id] = (returns, offsets)
-            analyzed.append(firm_id)
         except (CrosslistError, OSError) as exc:
             skipped[firm_id] = str(exc)
             _warn(f"firm {firm_id} skipped: {exc}")
@@ -416,7 +399,7 @@ def cmd_event_study(config: RunConfig) -> int:
         _warn("event-study failed: every firm was skipped")
         return 1
 
-    weights = cap_weights(records, analyzed)
+    weights = cap_weights(records, [res.firm_id for res in firm_results])
     firm_results = [replace(res, weight=weights[res.firm_id]) for res in firm_results]
     panel_result = aggregate(firm_results, windows)
     var_report = variance_ratio_report(firm_returns_for_variance, windows)
@@ -442,7 +425,7 @@ def cmd_event_study(config: RunConfig) -> int:
             float(panel_result.aar[i]),
             float(panel_result.car[i]),
             z,
-            "true" if (math.isfinite(z) and abs(z) > Z_CRITICAL_5PCT) else "false",
+            math.isfinite(z) and abs(z) > Z_CRITICAL_5PCT,
         ])
     _write_csv(config.output_dir / "event.csv", EVENT_CSV_HEADER, event_rows)
 
@@ -456,13 +439,13 @@ def cmd_event_study(config: RunConfig) -> int:
                 float(row.ratio),
                 float(row.f_result.ratio),
                 float(row.f_result.p_value),
-                "true" if row.f_result.significant_5pct else "false",
+                bool(row.f_result.significant_5pct),
             ])
     _write_csv(config.output_dir / "variance.csv", VARIANCE_CSV_HEADER, variance_rows)
 
     day0 = int(np.where(panel_result.offsets == 0)[0][0])
     summary = {
-        "n_firms_analyzed": len(analyzed),
+        "n_firms_analyzed": len(firm_results),
         "n_firms_skipped": len(skipped),
         "skipped": skipped,
         "currency_mode": "usd" if fx is not None else "local-currency",
@@ -484,7 +467,7 @@ def cmd_event_study(config: RunConfig) -> int:
         f.write("\n")
 
     _say(
-        f"{len(analyzed)} firm(s) analyzed, {len(skipped)} skipped -> "
+        f"{len(firm_results)} firm(s) analyzed, {len(skipped)} skipped -> "
         f"{config.output_dir}/{{coefficients,event,variance}}.csv, summary.json"
     )
     return 0
@@ -615,13 +598,7 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
 
 def cmd_simulate(config: RunConfig) -> int:
     """Write a synthetic data bundle into the output directory."""
-    try:
-        generate_bundle(
-            config.output_dir, config.sim_firms, config.sim_days, config.sim_effect, config.seed
-        )
-    except (ConfigError, OSError) as exc:
-        _warn(f"error: {exc}")
-        return 2
+    generate_bundle(config.output_dir, config.sim_firms, config.sim_days, config.sim_effect, config.seed)
     _say(
         f"wrote {config.sim_firms} firm file(s), 2 index files, manifest.csv, run.ini "
         f"-> {config.output_dir}"
@@ -652,17 +629,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    changes = {}
     if args.seed is not None:
-        config.seed = args.seed
+        changes["seed"] = args.seed
     if args.out is not None:
-        config.output_dir = Path(args.out)
+        changes["output_dir"] = Path(args.out)
     if args.windows is not None:
-        parts = [p.strip() for p in args.windows.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f"--windows must be four integers, got {args.windows!r}")
+        a, b, c, d = _parse_ints(args.windows, 4, "--windows")
         try:
-            a, b, c, d = (int(p) for p in parts)
-            config.windows = EventWindows(
+            changes["windows"] = EventWindows(
                 estimation=OffsetRange(a, b),
                 event=OffsetRange(c, d),
                 pre_var=OffsetRange(a, b),
@@ -671,30 +646,18 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"--windows: {exc}") from None
     if args.max_lags is not None:
-        parts = [p.strip() for p in args.max_lags.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"--max-lags must be p,q, got {args.max_lags!r}")
-        try:
-            config.max_p, config.max_q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ConfigError(f"--max-lags must be integers, got {args.max_lags!r}") from None
-        if not (1 <= config.max_p <= MAX_VARIANCE_LAGS and 1 <= config.max_q <= MAX_VARIANCE_LAGS):
-            raise ConfigError(f"--max-lags values must be in [1, {MAX_VARIANCE_LAGS}]")
-    return config
+        changes["max_p"], changes["max_q"] = _parse_ints(args.max_lags, 2, "--max-lags")
+    return replace(config, **changes)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.config is not None:
-            config = load_config(args.config)
-        else:
-            config = RunConfig(config_dir=Path.cwd(), output_dir=Path.cwd() / "out")
-        config = _apply_overrides(config, args)
-    except ConfigError as exc:
-        _warn(f"error: {exc}")
-        return 2
+    """Run one command and return its exit code.
 
+    The one error boundary: a `CrosslistError` (`ConfigError` included) or
+    `OSError` escaping the config file, the flag overrides or the command is
+    printed as `error: <message>` on stderr and ends the run with exit 2.
+    """
+    args = _build_parser().parse_args(argv)
     commands = {
         "validate": cmd_validate,
         "capm": cmd_capm,
@@ -702,8 +665,12 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        return commands[args.command](config)
-    except ConfigError as exc:
+        if args.config is not None:
+            config = load_config(args.config)
+        else:
+            config = RunConfig(config_dir=Path.cwd(), output_dir=Path.cwd() / "out")
+        return commands[args.command](_apply_overrides(config, args))
+    except (CrosslistError, OSError) as exc:
         _warn(f"error: {exc}")
         return 2
 

@@ -122,9 +122,6 @@ class RateSeries:
     dates: tuple[date, ...]
     values: np.ndarray
 
-    def as_mapping(self) -> dict[date, float]:
-        return dict(zip(self.dates, self.values.tolist()))
-
 
 @dataclass(frozen=True)
 class AlignedPanel:

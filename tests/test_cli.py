@@ -476,9 +476,80 @@ class TestConfigParsing:
         (tmp_path / "run.ini").write_text("[data]\n", encoding="utf-8")
         assert main(["validate", "--config", str(tmp_path / "run.ini"), "--max-lags", "9,9"]) == 2
 
+    def test_bad_interpolation_in_windows_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "run.ini").write_text("[windows]\nestimation = 5%\n", encoding="utf-8")
+        assert main(["validate", "--config", str(tmp_path / "run.ini")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'run.ini'}: '%' must be followed")
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         sub = tmp_path / "nested"
         sub.mkdir()
         (sub / "run.ini").write_text("[data]\nmanifest = manifest.csv\n", encoding="utf-8")
         config = load_config(sub / "run.ini")
         assert config.manifest_path == sub / "manifest.csv"
+
+
+def _header_only(path):
+    path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+BAD_INPUTS = {
+    "missing": Path.unlink,
+    "directory": _directory,
+    "not utf-8": lambda path: path.write_bytes(b"\xff" + path.read_bytes()),
+    "header only": _header_only,
+}
+
+
+@pytest.mark.parametrize(
+    "command, damage, name",
+    [
+        ("validate", "missing", "manifest.csv"),
+        ("validate", "directory", "manifest.csv"),
+        ("validate", "directory", "prices_F01.csv"),
+        ("validate", "directory", "run.ini"),
+        ("validate", "not utf-8", "run.ini"),
+        ("validate", "header only", "prices_F01.csv"),
+        ("capm", "missing", "sse.csv"),
+        ("capm", "--out under a file", "out"),
+        ("capm", "directory", "run.ini"),
+        ("capm", "not utf-8", "run.ini"),
+        ("capm", "header only", "rf.csv"),
+        ("event-study", "missing", "sse.csv"),
+        ("event-study", "--out under a file", "out"),
+        ("event-study", "directory", "run.ini"),
+        ("event-study", "not utf-8", "run.ini"),
+        ("simulate", "--out under a file", "out"),
+        ("simulate", "directory", "run.ini"),
+        ("simulate", "not utf-8", "run.ini"),
+    ],
+)
+def test_bad_input_is_named_error(tmp_path, capsys, command, damage, name):
+    # one bundle that every command can run from: its run.ini also sets a capm class
+    bundle = tmp_path / "bundle"
+    generate_bundle(bundle, 3, 300, 0.0, 41)
+    (bundle / "rf.csv").write_text(
+        "date,annual_yield_pct\n2006-01-02,3.0\n2006-02-01,3.0\n", encoding="utf-8"
+    )
+    config = bundle / "run.ini"
+    text = config.read_text(encoding="utf-8").replace("[data]\n", "[data]\nlocal_risk_free = rf.csv\n")
+    config.write_text(text + "\n[capm]\na_prices = prices_F00.csv\n", encoding="utf-8")
+    argv = [command, "--config", str(config)]
+    path = bundle / name
+    if damage == "--out under a file":
+        path.write_text("a plain file, not a directory", encoding="utf-8")
+        path = path / "reports"
+        argv += ["--out", str(path)]
+    else:
+        BAD_INPUTS[damage](path)
+
+    # an exception escaping main fails the test, as it would print a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("error:") and str(path) in line for line in err.splitlines()), err

@@ -321,7 +321,7 @@ class TestRateLoaders:
         path = tmp_path / "fx.csv"
         path.write_text("date,rate\n2007-01-08,0.128\n2007-01-09,0.129\n", encoding="utf-8")
         fx = load_fx(path)
-        assert fx.as_mapping()[date(2007, 1, 9)] == pytest.approx(0.129)
+        assert fx.values[fx.dates.index(date(2007, 1, 9))] == pytest.approx(0.129)
 
     def test_risk_free_allows_negative(self, tmp_path):
         path = tmp_path / "rf.csv"
