@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .linear_models import (
     durbin_watson,
     ols_fit,
 )
-from .market_data import Currency, PriceSeries, align, build_event_frame
+from .market_data import PriceSeries, align, build_event_frame
 from .stats_core import ReturnSeries
 
 PERIODS_PER_YEAR = {"monthly": 12, "daily": 252}
@@ -175,8 +176,9 @@ def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _require_rows(loaded, path: Path):
-    """`loaded` (a price or rate series), or an error naming `path` if it has no rows."""
+def _require_rows(load, path: Path):
+    """`load(path)` (a price or rate series), or an error naming `path` if it has no rows."""
+    loaded = load(path)
     if not loaded.dates:
         raise MissingField(f"{path}: no rows after the header")
     return loaded
@@ -204,8 +206,7 @@ def cmd_validate(config: RunConfig) -> int:
             problems += 1
             return None
 
-    def _load_prices(path: Path) -> PriceSeries:
-        return _require_rows(market_data.load_prices(path, Currency.OTHER), path)
+    _load_prices = partial(_require_rows, market_data.load_prices)
 
     def _describe_prices(series: PriceSeries) -> str:
         return f"{len(series)} rows, {series.dates[0].isoformat()}..{series.dates[-1].isoformat()}"
@@ -243,7 +244,7 @@ def cmd_validate(config: RunConfig) -> int:
         ("us_risk_free", config.us_risk_free_path, market_data.load_risk_free),
     ):
         if path is not None:
-            _report(label, path, loader, lambda rates: f"{len(rates.dates)} rows")
+            _report(label, path, partial(_require_rows, loader), lambda rates: f"{len(rates.dates)} rows")
 
     if problems:
         _warn(f"validation failed: {problems} problem(s)")
@@ -257,17 +258,15 @@ def cmd_validate(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def _mean_annual_yield_as_period_rate(path: Path, period: str) -> float:
-    rates = _require_rows(market_data.load_risk_free(path), path)
+    rates = _require_rows(market_data.load_risk_free, path)
     return float(np.mean(rates.values)) / 100.0 / PERIODS_PER_YEAR[period]
 
 
 def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float | None) -> list:
     if rf is None:
         raise ConfigError(f"class {label}: no risk-free series configured")
-    stock = replace(market_data.load_prices(prices_path, Currency.OTHER), instrument_id="stock")
-    panel = align([stock, replace(index, instrument_id="index")])
-    returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
-    y, x = returns["stock"], returns["index"]
+    panel = align([market_data.load_prices(prices_path), index])
+    y, x = (np.diff(np.log(v)) for v in panel.closes)
     fit = ols_fit(y, [x])
     # an exact fit makes the statistic 0/0; any other fit has nonzero residuals
     dw = float("nan") if fit.s2 == 0.0 else durbin_watson(fit.residuals)
@@ -303,7 +302,7 @@ def cmd_capm(config: RunConfig) -> int:
         if index_path is None:
             _warn(f"class {label} skipped: no index series configured")
             continue
-        index = market_data.load_prices(index_path, Currency.OTHER)
+        index = _require_rows(market_data.load_prices, index_path)
         rf = None if rf_path is None else _mean_annual_yield_as_period_rate(rf_path, config.period)
         try:
             rows.append(_capm_class_row(label, prices_path, index, rf))
@@ -331,18 +330,14 @@ def cmd_capm(config: RunConfig) -> int:
 # event-study
 # --------------------------------------------------------------------------
 
-def _event_offsets(frame, return_dates) -> np.ndarray:
-    return np.array([frame.day_index[d] for d in return_dates])
-
-
 def cmd_event_study(config: RunConfig) -> int:
     """Run the full pipeline over the manifest and write the four reports."""
     if config.manifest_path is None or config.local_index_path is None or config.us_index_path is None:
         raise ConfigError("event-study needs manifest, local_index, and us_index configured")
     records = market_data.load_manifest(config.manifest_path)
-    local_prices = market_data.load_prices(config.local_index_path, Currency.OTHER)
-    us_prices = market_data.load_prices(config.us_index_path, Currency.USD)
-    fx = market_data.load_fx(config.fx_path) if config.fx_path else None
+    local_prices = _require_rows(market_data.load_prices, config.local_index_path)
+    us_prices = _require_rows(market_data.load_prices, config.us_index_path)
+    fx = _require_rows(market_data.load_fx, config.fx_path) if config.fx_path else None
     if not records:
         _warn("event-study failed: manifest has no instruments")
         return 1
@@ -361,18 +356,12 @@ def cmd_event_study(config: RunConfig) -> int:
     for rec in records:
         firm_id = rec.n_code
         try:
-            prices = market_data.load_prices(
-                config.manifest_path.parent / rec.price_file, Currency.CNY
-            )
+            prices = market_data.load_prices(config.manifest_path.parent / rec.price_file)
             if fx is not None:
                 prices = market_data.convert_to_usd(prices, fx)
             panel = align([prices, local_prices, us_prices])
-            frame = build_event_frame(panel, rec.us_listing_date)
-            panel_returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
-            returns = panel_returns[prices.instrument_id]
-            loc_ret = panel_returns[local_prices.instrument_id]
-            us_ret = panel_returns[us_prices.instrument_id]
-            offsets = _event_offsets(frame, panel.common_dates[1:])
+            offsets = build_event_frame(panel, rec.us_listing_date)[1:]
+            returns, loc_ret, us_ret = (np.diff(np.log(v)) for v in panel.closes)
             if offsets.min() > needed.lo or offsets.max() < needed.hi:
                 raise CrosslistError(
                     f"coverage [{offsets.min()}, {offsets.max()}] does not span "
@@ -518,11 +507,11 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
     loc_ret = 0.0002 + 0.012 * rng.standard_normal(n_returns)
     us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
     market_data.write_prices(
-        PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret), Currency.CNY),
+        PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret)),
         out_dir / "sse.csv",
     )
     market_data.write_prices(
-        PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret), Currency.USD),
+        PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret)),
         out_dir / "nyse.csv",
     )
     loc_series = ReturnSeries("sse", dates[1:], loc_ret)
@@ -556,7 +545,7 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         returns[event_idx - 1] += effect
         price_file = f"prices_{n_code}.csv"
         try:
-            firm = PriceSeries(n_code, dates, _prices_from_returns(50.0, returns), Currency.CNY)
+            firm = PriceSeries(n_code, dates, _prices_from_returns(50.0, returns))
         except NonPositivePrice:
             raise ConfigError(
                 f"firm {n_code}'s simulated closes leave the floating-point range "

@@ -17,12 +17,12 @@ compared and aligned as sorted int64 day numbers (`date.toordinal`).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date
-from enum import Enum
 from functools import partial, reduce
 from pathlib import Path
 from typing import Sequence
@@ -64,13 +64,6 @@ _YYYY_MM_DD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _UNIX_EPOCH_ORDINAL = 719163
 
 
-class Currency(str, Enum):
-    USD = "USD"
-    CNY = "CNY"
-    HKD = "HKD"
-    OTHER = "OTHER"
-
-
 @dataclass(frozen=True)
 class InstrumentRecord:
     """One dual-listed firm from the instrument manifest."""
@@ -92,7 +85,6 @@ class PriceSeries:
     instrument_id: str
     dates: tuple[date, ...]
     closes: np.ndarray
-    currency: Currency = Currency.USD
     # `dates` as day numbers, computed once here for alignment and FX conversion
     _days: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -125,18 +117,13 @@ class RateSeries:
 
 @dataclass(frozen=True)
 class AlignedPanel:
-    """Closes for several series restricted to their common trading dates."""
+    """Closes for several series restricted to their common trading dates.
+
+    `closes` holds one array per input series, in the order given to `align`.
+    """
 
     common_dates: tuple[date, ...]
-    series_by_id: dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class EventFrame:
-    """Signed trading-day offsets around an event date (day 0 = the event)."""
-
-    event_date: date
-    day_index: dict[date, int]
+    closes: tuple[np.ndarray, ...]
 
 
 def _to_float(text: str) -> float:
@@ -325,12 +312,10 @@ def _load_dated_values(
     return parsed
 
 
-def load_prices(path: str | Path, currency: Currency = Currency.USD) -> PriceSeries:
+def load_prices(path: str | Path) -> PriceSeries:
     """Load a two-column `date,close` CSV; the instrument id is the file stem."""
     dates, closes = _load_dated_values(path, PRICE_COLUMNS, require_positive=True)
-    return PriceSeries(
-        instrument_id=Path(path).stem, dates=dates, closes=closes, currency=currency
-    )
+    return PriceSeries(instrument_id=Path(path).stem, dates=dates, closes=closes)
 
 
 def load_fx(path: str | Path) -> RateSeries:
@@ -374,7 +359,7 @@ def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
         raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")
     dates = tuple(map(series.dates.__getitem__, keep.tolist()))
     closes = series.closes[keep] * fx.values[at]
-    return replace(series, dates=dates, closes=closes, currency=Currency.USD)
+    return replace(series, dates=dates, closes=closes)
 
 
 def align(series: Sequence[PriceSeries]) -> AlignedPanel:
@@ -382,22 +367,20 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
 
     Needed because exchange calendars differ (e.g. SSE and NYSE holidays);
     returns must be contemporaneous before they enter a joint regression.
+    The panel's closes follow the input order, so series may share an id.
     """
     if not series:
         raise ValueError("align requires at least one series")
-    ids = [s.instrument_id for s in series]
-    if len(set(ids)) != len(ids):
-        raise DuplicateCode(f"duplicate instrument ids in alignment input: {ids}")
     positions = _shared_positions([s._days for s in series])
     if positions[0].size == 0:
         raise EmptyIntersection("input series share no trading dates")
     common_dates = tuple(map(series[0].dates.__getitem__, positions[0].tolist()))
-    by_id = {s.instrument_id: s.closes[pos] for s, pos in zip(series, positions)}
-    return AlignedPanel(common_dates=common_dates, series_by_id=by_id)
+    closes = tuple(s.closes[pos] for s, pos in zip(series, positions))
+    return AlignedPanel(common_dates=common_dates, closes=closes)
 
 
-def build_event_frame(panel: AlignedPanel, event_date: date) -> EventFrame:
-    """Map every panel date to a signed trading-day offset around the event.
+def build_event_frame(panel: AlignedPanel, event_date: date) -> np.ndarray:
+    """The signed trading-day offset of each panel date around the event, as int64.
 
     Day 0 is the event date itself when it is a panel date, otherwise the
     first panel date after it (listings on non-trading days roll forward).
@@ -407,8 +390,4 @@ def build_event_frame(panel: AlignedPanel, event_date: date) -> EventFrame:
         raise EventAfterPanelEnd(
             f"event date {event_date.isoformat()} is after the last panel date {dates[-1].isoformat()}"
         )
-    anchor = next(i for i, d in enumerate(dates) if d >= event_date)
-    return EventFrame(
-        event_date=event_date,
-        day_index={d: i - anchor for i, d in enumerate(dates)},
-    )
+    return np.arange(len(dates), dtype=np.int64) - bisect.bisect_left(dates, event_date)

@@ -91,18 +91,18 @@ def simulate_panel(rng, n_firms: int = 10, effect: float = 0.0,
 def align_reference(series):
     """Alignment by set intersection and a date-to-position dict per series.
 
-    Returns the common dates and each series' closes on them; the dates are
-    empty when the series share none.
+    Returns the common dates and each series' closes on them, in input
+    order; the dates are empty when the series share none.
     """
     common = set(series[0].dates)
     for s in series[1:]:
         common &= set(s.dates)
     common_dates = tuple(sorted(common))
-    by_id = {}
+    closes = []
     for s in series:
         pos = {d: i for i, d in enumerate(s.dates)}
-        by_id[s.instrument_id] = s.closes[[pos[d] for d in common_dates]]
-    return common_dates, by_id
+        closes.append(s.closes[[pos[d] for d in common_dates]])
+    return common_dates, closes
 
 
 def convert_to_usd_reference(series, fx):

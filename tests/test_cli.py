@@ -46,10 +46,9 @@ def bundle_firm_inputs(bundle: Path, rec):
     """A generated bundle firm's (returns, local index, US index, offsets), rebuilt through the library."""
     prices = load_prices(bundle / rec.price_file)
     panel = align([prices, load_prices(bundle / "sse.csv"), load_prices(bundle / "nyse.csv")])
-    frame = build_event_frame(panel, rec.us_listing_date)
-    returns = {k: np.diff(np.log(v)) for k, v in panel.series_by_id.items()}
-    offsets = np.array([frame.day_index[d] for d in panel.common_dates[1:]])
-    return returns[prices.instrument_id], returns["sse"], returns["nyse"], offsets
+    offsets = build_event_frame(panel, rec.us_listing_date)[1:]
+    returns, loc, us = (np.diff(np.log(v)) for v in panel.closes)
+    return returns, loc, us, offsets
 
 
 def write_price_csv(path: Path, closes, start=date(2006, 1, 2)):
@@ -515,29 +514,39 @@ BAD_INPUTS = {
         ("validate", "directory", "run.ini"),
         ("validate", "not utf-8", "run.ini"),
         ("validate", "header only", "prices_F01.csv"),
+        ("validate", "header only", "fx.csv"),
+        ("validate", "header only", "rf.csv"),
         ("capm", "missing", "sse.csv"),
         ("capm", "--out under a file", "out"),
         ("capm", "directory", "run.ini"),
         ("capm", "not utf-8", "run.ini"),
         ("capm", "header only", "rf.csv"),
+        ("capm", "header only", "sse.csv"),
         ("event-study", "missing", "sse.csv"),
         ("event-study", "--out under a file", "out"),
         ("event-study", "directory", "run.ini"),
         ("event-study", "not utf-8", "run.ini"),
+        ("event-study", "header only", "sse.csv"),
+        ("event-study", "header only", "nyse.csv"),
+        ("event-study", "header only", "fx.csv"),
         ("simulate", "--out under a file", "out"),
         ("simulate", "directory", "run.ini"),
         ("simulate", "not utf-8", "run.ini"),
     ],
 )
 def test_bad_input_is_named_error(tmp_path, capsys, command, damage, name):
-    # one bundle that every command can run from: its run.ini also sets a capm class
+    # one bundle that every command can run from: its run.ini also sets FX and a capm class
     bundle = tmp_path / "bundle"
     generate_bundle(bundle, 3, 300, 0.0, 41)
     (bundle / "rf.csv").write_text(
         "date,annual_yield_pct\n2006-01-02,3.0\n2006-02-01,3.0\n", encoding="utf-8"
     )
+    fx_rows = "".join(f"{d.isoformat()},0.125\n" for d in weekday_dates(date(2006, 1, 2), 300))
+    (bundle / "fx.csv").write_text("date,rate\n" + fx_rows, encoding="utf-8")
     config = bundle / "run.ini"
-    text = config.read_text(encoding="utf-8").replace("[data]\n", "[data]\nlocal_risk_free = rf.csv\n")
+    text = config.read_text(encoding="utf-8").replace(
+        "[data]\n", "[data]\nlocal_risk_free = rf.csv\nfx = fx.csv\n"
+    )
     config.write_text(text + "\n[capm]\na_prices = prices_F00.csv\n", encoding="utf-8")
     argv = [command, "--config", str(config)]
     path = bundle / name
@@ -553,3 +562,39 @@ def test_bad_input_is_named_error(tmp_path, capsys, command, damage, name):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert any(line.startswith("error:") and str(path) in line for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("command", ["event-study", "validate", "capm"])
+def test_index_files_may_share_a_file_name(tmp_path, capsys, command):
+    # loc/index.csv and us/index.csv both load with the id "index"; a command
+    # must print and write what it does when the two names differ
+    results = []
+    for i, (local, us) in enumerate([("loc/sse.csv", "us/nyse.csv"), ("loc/index.csv", "us/index.csv")]):
+        bundle = tmp_path / f"bundle{i}"
+        generate_bundle(bundle, 3, 300, 0.0, 41)
+        for written, moved in (("sse.csv", local), ("nyse.csv", us)):
+            (bundle / moved).parent.mkdir()
+            (bundle / written).rename(bundle / moved)
+        (bundle / "rf.csv").write_text(
+            "date,annual_yield_pct\n2006-01-02,3.0\n2006-02-01,3.0\n", encoding="utf-8"
+        )
+        config = bundle / "run.ini"
+        config.write_text(
+            "[data]\nmanifest = manifest.csv\n"
+            f"local_index = {local}\nus_index = {us}\n"
+            "local_risk_free = rf.csv\nus_risk_free = rf.csv\n"
+            "[capm]\na_prices = prices_F00.csv\nn_prices = prices_F01.csv\n",
+            encoding="utf-8",
+        )
+        out = bundle / "out"
+        code = main([command, "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        reports = file_hashes(out) if out.exists() else {}
+        results.append((code, captured.out.replace(str(bundle), "<bundle>"), captured.err, reports))
+    assert results[1] == results[0]
+    code, stdout, stderr, reports = results[1]
+    assert code == 0 and stderr == ""
+    if command == "validate":
+        assert stdout.endswith("validation ok\n")
+    else:
+        assert reports

@@ -33,7 +33,6 @@ from crosslist.market_data import (
     MANIFEST_COLUMNS,
     PRICE_COLUMNS,
     RISK_FREE_COLUMNS,
-    Currency,
     PriceSeries,
     RateSeries,
     _check_rows,
@@ -287,7 +286,7 @@ def _series(name: str, days, offset: float) -> PriceSeries:
     # each close encodes its own day, so a close picked from the wrong row shows
     days = sorted(days)
     dates = tuple(DAY0 + timedelta(days=d) for d in days)
-    return PriceSeries(name, dates, np.array(days, dtype=float) + offset, Currency.CNY)
+    return PriceSeries(name, dates, np.array(days, dtype=float) + offset)
 
 
 calendar = st.sets(st.integers(0, 30), max_size=25)
@@ -310,22 +309,21 @@ def test_align_and_convert_match_set_reference(calendars, fx_days):
         converted = series
     else:
         usd = convert_to_usd(series[0], fx)
-        assert usd.currency is Currency.USD
         assert usd.dates == want_dates
         assert usd.closes.tolist() == want_closes.tolist()
         converted = [usd] + series[1:]  # a replaced series must align on its new dates
 
     for panel_input in (series, converted):
-        want_common, want_by_id = align_reference(panel_input)
+        want_common, want_closes = align_reference(panel_input)
         if not want_common:
             with pytest.raises(EmptyIntersection):
                 align(panel_input)
             continue
         panel = align(panel_input)
         assert panel.common_dates == want_common
-        assert list(panel.series_by_id) == list(want_by_id)
-        for key, closes in want_by_id.items():
-            assert panel.series_by_id[key].tolist() == closes.tolist()
+        assert len(panel.closes) == len(want_closes)
+        for got, closes in zip(panel.closes, want_closes):
+            assert got.tolist() == closes.tolist()
 
 
 # positive finite doubles, with the subnormals and the ends of the date range drawn often

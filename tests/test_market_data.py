@@ -23,7 +23,6 @@ from crosslist.errors import (
 )
 from crosslist.market_data import (
     PRICE_COLUMNS,
-    Currency,
     PriceSeries,
     RateSeries,
     _check_rows,
@@ -164,7 +163,7 @@ class TestLoadPrices:
     def test_two_rows(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2007-01-08,100.0\n2007-01-09,101.5\n", encoding="utf-8")
-        series = load_prices(path, Currency.USD)
+        series = load_prices(path)
         assert len(series) == 2
         assert series.instrument_id == "p"
         assert series.closes.tolist() == [100.0, 101.5]
@@ -199,10 +198,10 @@ class TestLoadPrices:
         n = 2520
         dates = weekday_dates(date(2005, 1, 3), n)
         closes = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(n)))
-        series = PriceSeries("big", tuple(dates), closes, Currency.CNY)
+        series = PriceSeries("big", tuple(dates), closes)
         path = tmp_path / "big.csv"
         write_prices(series, path)
-        loaded = load_prices(path, Currency.CNY)
+        loaded = load_prices(path)
         assert len(loaded) == n
         assert loaded.dates[0] == min(dates)
         assert loaded.dates == series.dates
@@ -342,7 +341,7 @@ class TestRateLoaders:
 
     def test_convert_to_usd(self, tmp_path):
         dates = weekday_dates(date(2007, 1, 8), 3)
-        series = PriceSeries("x", tuple(dates), np.array([10.0, 20.0, 30.0]), Currency.CNY)
+        series = PriceSeries("x", tuple(dates), np.array([10.0, 20.0, 30.0]))
         fx_path = tmp_path / "fx.csv"
         fx_path.write_text(
             "date,rate\n"
@@ -351,13 +350,12 @@ class TestRateLoaders:
             encoding="utf-8",
         )
         converted = convert_to_usd(series, load_fx(fx_path))
-        assert converted.currency is Currency.USD
         assert converted.closes.tolist() == [5.0, 10.0]
         assert len(converted.dates) == 2
 
     def test_convert_to_usd_rejects_unsorted_fx(self):
         dates = tuple(weekday_dates(date(2007, 1, 8), 3))
-        series = PriceSeries("x", dates, np.array([10.0, 20.0, 30.0]), Currency.CNY)
+        series = PriceSeries("x", dates, np.array([10.0, 20.0, 30.0]))
         fx = RateSeries(dates=dates[::-1], values=np.array([0.5, 0.25, 0.125]))
         with pytest.raises(ValueError, match="FX dates must be strictly increasing"):
             convert_to_usd(series, fx)
@@ -370,7 +368,7 @@ class TestAlign:
         b = PriceSeries("b", dates, np.arange(2.0, 7.0))
         panel = align([a, b])
         assert panel.common_dates == dates
-        assert panel.series_by_id["b"].tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert panel.closes[1].tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_holiday_mismatch(self):
         # oracle: alignment must equal the set intersection of the calendars
@@ -398,17 +396,24 @@ class TestAlign:
         b = PriceSeries("b", tuple(dates_b), rng.uniform(1, 2, 55))
         once = align([a, b])
         twice = align(
-            [PriceSeries(k, once.common_dates, v) for k, v in once.series_by_id.items()]
+            [PriceSeries(s.instrument_id, once.common_dates, v) for s, v in zip((a, b), once.closes)]
         )
         assert twice.common_dates == once.common_dates
-        for key in once.series_by_id:
-            assert twice.series_by_id[key].tolist() == once.series_by_id[key].tolist()
+        for t, o in zip(twice.closes, once.closes, strict=True):
+            assert t.tolist() == o.tolist()
 
-    def test_duplicate_ids_rejected(self):
-        dates = tuple(weekday_dates(date(2006, 1, 2), 3))
-        a = PriceSeries("a", dates, np.ones(3))
-        with pytest.raises(DuplicateCode):
-            align([a, a])
+    def test_same_ids_align_by_position(self):
+        # two index files named index.csv load with one id; closes follow input order
+        dates = tuple(weekday_dates(date(2006, 1, 2), 6))
+        a = PriceSeries("index", dates, np.arange(1.0, 7.0))
+        b = PriceSeries("index", dates[1:], np.arange(11.0, 16.0))
+        panel = align([a, b, a])
+        assert panel.common_dates == dates[1:]
+        assert [c.tolist() for c in panel.closes] == [
+            [2.0, 3.0, 4.0, 5.0, 6.0],
+            [11.0, 12.0, 13.0, 14.0, 15.0],
+            [2.0, 3.0, 4.0, 5.0, 6.0],
+        ]
 
 
 class TestEventFrame:
@@ -419,23 +424,23 @@ class TestEventFrame:
 
     def test_event_on_panel_date(self):
         panel, dates = self._panel(100)
-        frame = build_event_frame(panel, dates[49])
-        assert frame.day_index[dates[49]] == 0
-        assert frame.day_index[dates[48]] == -1
-        assert frame.day_index[dates[50]] == 1
+        offsets = build_event_frame(panel, dates[49])
+        assert offsets.dtype == np.int64 and offsets.shape == (100,)
+        assert offsets[49] == 0
+        assert offsets[48] == -1
+        assert offsets[50] == 1
 
     def test_weekend_event_rolls_forward(self):
         panel, dates = self._panel(20)
         saturday = date(2006, 1, 14)
         assert saturday.weekday() == 5
-        frame = build_event_frame(panel, saturday)
-        assert frame.day_index[date(2006, 1, 16)] == 0
+        offsets = build_event_frame(panel, saturday)
+        assert offsets[panel.common_dates.index(date(2006, 1, 16))] == 0
 
     def test_211_day_panel_covers_symmetric_window(self):
         panel, dates = self._panel(211)
-        frame = build_event_frame(panel, dates[105])
-        offsets = sorted(frame.day_index.values())
-        assert offsets == list(range(-105, 106))
+        offsets = build_event_frame(panel, dates[105])
+        assert sorted(offsets.tolist()) == list(range(-105, 106))
 
     def test_event_after_panel_end(self):
         panel, dates = self._panel(10)
@@ -444,8 +449,7 @@ class TestEventFrame:
 
     def test_offsets_are_consecutive(self):
         panel, dates = self._panel(37)
-        frame = build_event_frame(panel, dates[11])
-        offsets = [frame.day_index[d] for d in panel.common_dates]
+        offsets = build_event_frame(panel, dates[11]).tolist()
         assert offsets == list(range(-11, 26))
         assert sum(1 for v in offsets if v == 0) == 1
 

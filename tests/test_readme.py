@@ -1,0 +1,21 @@
+"""The README's library example runs as written on a simulated bundle."""
+
+import re
+from pathlib import Path
+
+from crosslist.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_block_runs_on_a_simulated_bundle(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    bundle = tmp_path / "bundle"
+    assert main(["simulate", "--out", str(bundle), "--seed", "42"]) == 0
+    monkeypatch.chdir(bundle)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    panel, offsets = namespace["panel"], namespace["offsets"]
+    assert offsets.shape == (len(panel.common_dates),)
+    assert namespace["result"].firm_id == "F00"
