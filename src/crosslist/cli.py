@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import gc
 import json
 import math
 import sys
@@ -42,6 +43,12 @@ from .linear_models import (
 )
 from .market_data import PriceSeries, align, build_event_frame
 from .stats_core import ReturnSeries
+
+# Move everything that exists once numpy and scipy are imported into the
+# permanent generation, so the collections run as the interpreter exits skip
+# those objects instead of tearing them down (about 0.13 s of a cold run).
+# Done once at import, not in `main`, which tests and tracers call repeatedly.
+gc.freeze()
 
 PERIODS_PER_YEAR = {"monthly": 12, "daily": 252}
 
@@ -189,62 +196,86 @@ def _require_rows(load, path: Path):
 # --------------------------------------------------------------------------
 
 def cmd_validate(config: RunConfig) -> int:
-    """Check every configured file: schema, row counts, date ranges, alignment."""
+    """Check every configured file: schema, row counts, date ranges, alignment, FX dates."""
     problems = 0
 
-    def _report(label: str, path: Path, load, describe):
-        """Load `path` and print `describe` of it; report a failure and return None."""
+    def _problem(label: str, exc: Exception) -> None:
         nonlocal problems
+        _warn(f"error: {label}: {exc}")
+        problems += 1
+
+    def _attempt(path: Path, load):
+        """`load(path)`, or the CrosslistError or OSError it raised."""
         try:
             if not path.exists():
                 raise FileNotFoundError(f"file not found: {path}")
-            loaded = load(path)
-            _say(f"{label}: {describe(loaded)}")
-            return loaded
+            return load(path)
         except (CrosslistError, OSError) as exc:
-            _warn(f"error: {label}: {exc}")
-            problems += 1
+            return exc
+
+    def _report(label: str, loaded, describe):
+        """Print `describe` of what `_attempt` loaded; report a failure and return None."""
+        if isinstance(loaded, Exception):
+            _problem(label, loaded)
             return None
+        _say(f"{label}: {describe(loaded)}")
+        return loaded
 
     _load_prices = partial(_require_rows, market_data.load_prices)
 
     def _describe_prices(series: PriceSeries) -> str:
         return f"{len(series)} rows, {series.dates[0].isoformat()}..{series.dates[-1].isoformat()}"
 
+    def _describe_rates(rates) -> str:
+        return f"{len(rates.dates)} rows"
+
     records = []
     if config.manifest_path is not None:
         records = _report(
-            "manifest", config.manifest_path, market_data.load_manifest, lambda r: f"{len(r)} instruments"
+            "manifest",
+            _attempt(config.manifest_path, market_data.load_manifest),
+            lambda r: f"{len(r)} instruments",
         )
         if records == []:  # loaded, and empty
             _warn("warning: no instruments in manifest")
 
     indexes = [
-        _report(label, path, _load_prices, _describe_prices)
+        _report(label, _attempt(path, _load_prices), _describe_prices)
         for label, path in (("local_index", config.local_index_path), ("us_index", config.us_index_path))
         if path is not None
     ]
     can_align = len(indexes) == 2 and None not in indexes
+    # loaded before the firms, so each firm is checked against its dates, and reported after them
+    fx = fx_days = None
+    if config.fx_path is not None:
+        fx = _attempt(config.fx_path, partial(_require_rows, market_data.load_fx))
+        if not isinstance(fx, Exception):
+            fx_days = market_data._day_numbers(fx.dates)
 
     for rec in records or ():
         path = config.manifest_path.parent / rec.price_file
-        series = _report(f"prices[{rec.n_code}]", path, _load_prices, _describe_prices)
+        series = _report(f"prices[{rec.n_code}]", _attempt(path, _load_prices), _describe_prices)
         if series is not None and can_align:
             try:
                 panel = align([series] + indexes)
                 lost = len(series) - len(panel.common_dates)
                 _say(f"alignment[{rec.n_code}]: {len(panel.common_dates)} common dates (lost {lost})")
             except CrosslistError as exc:
-                _warn(f"error: alignment[{rec.n_code}]: {exc}")
-                problems += 1
+                _problem(f"alignment[{rec.n_code}]", exc)
+        if series is not None and fx_days is not None:
+            try:
+                market_data._fx_positions(series, fx_days)
+            except CrosslistError as exc:
+                _problem(f"fx[{rec.n_code}]", exc)
 
-    for label, path, loader in (
-        ("fx", config.fx_path, market_data.load_fx),
-        ("local_risk_free", config.local_risk_free_path, market_data.load_risk_free),
-        ("us_risk_free", config.us_risk_free_path, market_data.load_risk_free),
+    if fx is not None:
+        _report("fx", fx, _describe_rates)
+    for label, path in (
+        ("local_risk_free", config.local_risk_free_path),
+        ("us_risk_free", config.us_risk_free_path),
     ):
         if path is not None:
-            _report(label, path, partial(_require_rows, loader), lambda rates: f"{len(rates.dates)} rows")
+            _report(label, _attempt(path, partial(_require_rows, market_data.load_risk_free)), _describe_rates)
 
     if problems:
         _warn(f"validation failed: {problems} problem(s)")
@@ -356,7 +387,7 @@ def cmd_event_study(config: RunConfig) -> int:
     for rec in records:
         firm_id = rec.n_code
         try:
-            prices = market_data.load_prices(config.manifest_path.parent / rec.price_file)
+            prices = _require_rows(market_data.load_prices, config.manifest_path.parent / rec.price_file)
             if fx is not None:
                 prices = market_data.convert_to_usd(prices, fx)
             panel = align([prices, local_prices, us_prices])

@@ -11,7 +11,9 @@ strictly below one, so stationarity and positive variances hold for every
 parameter vector the optimizer can reach.  A compact BFGS with a strong-Wolfe
 line search (`_bfgs`) runs on the exact score (`_loglik`), called through
 `scipy.optimize.minimize`'s custom-method hook so that tracers that wrap
-`minimize` still see each run.
+`minimize` still see each run.  The hook is called without `jac`: the
+objective returns the value and the gradient together, and `_bfgs` unpacks
+both from one call, so scipy adds no memoizing wrapper around it.
 Returns are rescaled to unit residual variance internally and mapped back,
 which keeps the optimizer's tolerances scale-free.
 """
@@ -390,19 +392,19 @@ def _wolfe_step(phi, f0, d0, a):
     return None
 
 
-def _bfgs(fun, x0, *, jac, gtol, maxiter, **_):
+def _bfgs(fun, x0, *, gtol, maxiter, **_):
     """BFGS with `_wolfe_step` line searches, as a `scipy.optimize.minimize` custom method.
 
-    `minimize(fun, x0, method=_bfgs, jac=True, options={"gtol": ..., "maxiter": ...})`
-    passes `fun` and its gradient `jac`, memoized from one call; the hook's other
-    keywords are unused.  The inverse Hessian starts at I and takes the BFGS update
-    (Nocedal & Wright 2006, eq. 6.17) when s'y > 0.  Each line search first tries
-    scipy's step min(1, 2.02 (f_k - f_{k-1}) / slope), with f_{-1} = f_0 + |g_0| / 2.
-    Success is a gradient sup-norm of at most `gtol`; a line search that finds no
-    step, or `maxiter` iterations, end the run without it.
+    Call it as `minimize(fun, x0, method=_bfgs, options={"gtol": ..., "maxiter": ...})`,
+    without `jac`: `fun(x)` returns the value and the gradient, `(f, g)`, from one
+    call, and the hook's other keywords are unused.  The inverse Hessian starts at I
+    and takes the BFGS update (Nocedal & Wright 2006, eq. 6.17) when s'y > 0.  Each
+    line search first tries scipy's step min(1, 2.02 (f_k - f_{k-1}) / slope), with
+    f_{-1} = f_0 + |g_0| / 2.  Success is a gradient sup-norm of at most `gtol`; a
+    line search that finds no step, or `maxiter` iterations, end the run without it.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x), jac(x)
+    f, g = fun(x)
     nfev, nit, status, eye = 1, 0, 0, np.eye(x.shape[0])
     H, f_prev = eye, f + math.sqrt(g @ g) / 2.0
 
@@ -410,7 +412,7 @@ def _bfgs(fun, x0, *, jac, gtol, maxiter, **_):
         nonlocal nfev
         nfev += 1
         xa = x + a * direction
-        fa, ga = fun(xa), jac(xa)
+        fa, ga = fun(xa)
         return a, fa, float(ga @ direction), ga
 
     while not np.abs(g).max() <= gtol:  # a nan gradient fails at the line search
@@ -524,14 +526,12 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
         raise NonFiniteLikelihood("log-likelihood is not finite at the starting point")
 
     options = {"maxiter": 500, "gtol": 1e-7}
-    res = minimize(objective, theta0, method=_bfgs, jac=True, options=options)
+    res = minimize(objective, theta0, method=_bfgs, options=options)
     # one fresh run when the first is trapped on a simplex face or stalled
     # (a failed line search on a stale inverse Hessian); the better run counts
     start = _reentry_point(best_x, ys, Xs, q, p, h0s)
     if start is not None or not res.success:
-        retry = minimize(
-            objective, best_x if start is None else start, method=_bfgs, jac=True, options=options
-        )
+        retry = minimize(objective, best_x if start is None else start, method=_bfgs, options=options)
         if retry.fun < res.fun:
             res = retry
     converged = bool(res.success) or float(np.max(np.abs(best_g))) <= _CONVERGED_GTOL

@@ -349,14 +349,27 @@ def _shared_positions(day_numbers: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.searchsorted(days, common) for days in day_numbers]
 
 
+def _fx_positions(series: PriceSeries, fx_days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions, in `series` and in the strictly increasing FX day numbers, of the dates both hold.
+
+    One binary search per series date, which costs less than `_shared_positions`'s
+    sort of both arrays (`validate` runs it for every firm).  Raises
+    EmptyIntersection, naming the series, if they share no date.
+    """
+    at = np.searchsorted(fx_days, series._days)
+    # a series date is an FX date when the FX date at its insertion point equals it
+    keep = np.flatnonzero(fx_days.take(at, mode="clip") == series._days) if fx_days.size else at[:0]
+    if keep.size == 0:
+        raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")
+    return keep, at[keep]
+
+
 def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
     """Multiply closes by the same-date FX rate, restricted to dates with a rate."""
     fx_days = _day_numbers(fx.dates)
     if np.any(np.diff(fx_days) <= 0):
         raise ValueError("FX dates must be strictly increasing")
-    keep, at = _shared_positions([series._days, fx_days])
-    if keep.size == 0:
-        raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")
+    keep, at = _fx_positions(series, fx_days)
     dates = tuple(map(series.dates.__getitem__, keep.tolist()))
     closes = series.closes[keep] * fx.values[at]
     return replace(series, dates=dates, closes=closes)

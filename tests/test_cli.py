@@ -133,21 +133,62 @@ class TestSimulate:
         assert last == np.datetime64("9999-12-31")
         assert MAX_SIM_DAYS == np.busday_count(np.datetime64("2006-01-02"), np.datetime64("10000-01-01"))
 
+def fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
+    """`python ARGS` in a new interpreter that imports this checkout's crosslist."""
+    src = str(Path(crosslist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
 class TestImportFootprint:
+    # fresh interpreters, so modules loaded by this test session do not count
+
     def test_cli_import_skips_scipy_stats_and_signal(self):
-        # a fresh interpreter, so modules loaded by this test session do not count
         code = (
             "import sys, crosslist.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'stats'], ['scipy', 'signal'])))"
         )
-        src = str(Path(crosslist.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        out = fresh_python(["-c", code])
+        assert out.returncode == 0 and out.stdout.strip() == "[]"
+
+    def test_cli_import_freezes_import_time_objects(self):
+        out = fresh_python(["-c", "import gc, crosslist.cli; print(gc.get_freeze_count())"])
+        assert out.returncode == 0 and int(out.stdout) > 0
+
+
+class TestColdRoundTrip:
+    def test_commands_exit_zero_with_complete_reports(self, tmp_path):
+        # each command in its own `python -m crosslist.cli` process, run to the
+        # interpreter's exit in dev mode, where an unclosed file prints a warning;
+        # the files must match an in-process run byte for byte
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        for root in (cold, warm):
+            root.mkdir()
+        chain = [
+            ["simulate", "--out", "bundle", "--seed", "3"],
+            ["validate", "--config", "bundle/run.ini"],
+            ["event-study", "--config", "bundle/run.ini", "--out", "es"],
+        ]
+        dev_mode = ["-X", "dev", "-W", "error::ResourceWarning"]
+        for argv in chain:
+            out = fresh_python([*dev_mode, "-m", "crosslist.cli", *argv], cwd=cold)
+            assert (out.returncode, out.stderr) == (0, ""), argv
+        cwd = Path.cwd()
+        try:
+            os.chdir(warm)
+            assert [main(argv) for argv in chain] == [0, 0, 0]
+        finally:
+            os.chdir(cwd)
+        for name in ("bundle", "es"):
+            assert file_hashes(cold / name) == file_hashes(warm / name)
+        assert len(file_hashes(cold / "bundle")) == 14
+        reports = ["coefficients.csv", "event.csv", "summary.json", "variance.csv"]
+        assert sorted(file_hashes(cold / "es")) == reports
+        summary = json.loads((cold / "es" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["n_firms_analyzed"] == 10 and summary["n_firms_skipped"] == 0
+        assert len(read_csv(cold / "es" / "event.csv")) == 31
 
 
 class TestValidate:
@@ -186,6 +227,26 @@ class TestValidate:
         assert main(["validate", "--config", str(out / "run.ini")]) == 2
         err = capsys.readouterr().err
         assert "prices_F03.csv: not valid UTF-8 text" in err
+
+    def test_firm_sharing_no_date_with_fx(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=41)
+        fx_rows = "".join(f"{d.isoformat()},0.125\n" for d in weekday_dates(date(2006, 1, 2), 300))
+        (out / "fx.csv").write_text("date,rate\n" + fx_rows, encoding="utf-8")
+        config = out / "run.ini"
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("[data]\n", "[data]\nfx = fx.csv\n"), encoding="utf-8"
+        )
+        assert main(["validate", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("fx: 300 rows\nvalidation ok\n") and captured.err == ""
+
+        (out / "fx.csv").write_text("date,rate\n1990-01-02,0.125\n1990-01-03,0.125\n", encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        for code in ("F00", "F01"):
+            assert f"error: fx[{code}]: prices_{code}: no dates shared with the FX series" in err
+        assert err[-1] == "validation failed: 2 problem(s)"
 
 
 class TestCapm:
@@ -409,6 +470,16 @@ class TestEventStudy:
         summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
         assert summary["n_firms_analyzed"] == 2
         assert "F01" in summary["skipped"]
+
+    def test_header_only_price_file_skips_firm_naming_the_file(self, tmp_path):
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=41)
+        path = out / "prices_F01.csv"
+        _header_only(path)
+        assert main(["event-study", "--config", str(out / "run.ini")]) == 0
+        summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["skipped"] == {"F01": f"{path}: no rows after the header"}
+        assert summary["n_firms_analyzed"] == 1 and list(summary["diagnostics"]) == ["F00"]
 
     def test_all_firms_skipped_is_analysis_failure(self, tmp_path):
         out = tmp_path / "bundle"

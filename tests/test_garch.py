@@ -515,7 +515,7 @@ class TestBfgs:
             calls.append(x.copy())
             return fun(x)
 
-        res = minimize(counted, x0, method=_bfgs, jac=True, options=self.OPTIONS)
+        res = minimize(counted, x0, method=_bfgs, options=self.OPTIONS)
         assert res.success and res.status == 0
         assert np.abs(fun(res.x)[1]).max() <= 1e-7
         np.testing.assert_allclose(res.x, x_star, atol=1e-6)
@@ -536,7 +536,7 @@ class TestBfgs:
         if problem == "rosenbrock":
             res = minimize(
                 lambda x: (rosen(x), rosen_der(x)), np.array([-1.2, 1.0, -1.2, 1.0]),
-                method=_bfgs, jac=True, options=self.OPTIONS,
+                method=_bfgs, options=self.OPTIONS,
             )
             assert res.success and len(accepted) == res.nit > 10
         else:
@@ -557,7 +557,7 @@ class TestBfgs:
             return float(x @ x), -2.0 * x
 
         x0 = np.array([1.0, -2.0, 0.5])
-        res = minimize(fun, x0, method=_bfgs, jac=True, options=self.OPTIONS)
+        res = minimize(fun, x0, method=_bfgs, options=self.OPTIONS)
         assert not res.success and res.status == 2 and res.nit == 0
         assert res.fun <= fun(x0)[0]
         np.testing.assert_array_equal(res.x, x0)
