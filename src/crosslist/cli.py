@@ -26,13 +26,11 @@ import numpy as np
 from . import market_data
 from .errors import CrosslistError, MissingField, NonPositivePrice
 from .event_study import (
+    EventStudyResult,
     EventWindows,
     OffsetRange,
     Z_CRITICAL_5PCT,
-    aggregate,
-    cap_weights,
-    study_firm,
-    variance_ratio_report,
+    run_event_study,
 )
 from .garch import GarchSimConfig, GarchSpec, MAX_VARIANCE_LAGS, simulate_garch
 from .linear_models import (
@@ -41,7 +39,7 @@ from .linear_models import (
     durbin_watson,
     ols_fit,
 )
-from .market_data import PriceSeries, align, build_event_frame
+from .market_data import PriceSeries, align
 from .stats_core import ReturnSeries
 
 # Move everything that exists once numpy and scipy are imported into the
@@ -68,7 +66,6 @@ class ConfigError(CrosslistError):
 class RunConfig:
     """Everything a command needs, from the config file and flags; a bad period or lag is a ConfigError."""
 
-    config_dir: Path
     manifest_path: Path | None = None
     local_index_path: Path | None = None
     us_index_path: Path | None = None
@@ -133,7 +130,6 @@ def load_config(path: str | Path) -> RunConfig:
                 windows_kwargs[key] = OffsetRange(*_parse_ints(raw, 2, f"windows.{key}"))
         windows = EventWindows(**windows_kwargs)
         return RunConfig(
-            config_dir=base,
             manifest_path=_path("data", "manifest"),
             local_index_path=_path("data", "local_index"),
             us_index_path=_path("data", "us_index"),
@@ -161,8 +157,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return format(value, ".9g")
     return str(value)
 
@@ -246,11 +240,9 @@ def cmd_validate(config: RunConfig) -> int:
     ]
     can_align = len(indexes) == 2 and None not in indexes
     # loaded before the firms, so each firm is checked against its dates, and reported after them
-    fx = fx_days = None
+    fx = None
     if config.fx_path is not None:
         fx = _attempt(config.fx_path, partial(_require_rows, market_data.load_fx))
-        if not isinstance(fx, Exception):
-            fx_days = market_data._day_numbers(fx.dates)
 
     for rec in records or ():
         path = config.manifest_path.parent / rec.price_file
@@ -262,9 +254,9 @@ def cmd_validate(config: RunConfig) -> int:
                 _say(f"alignment[{rec.n_code}]: {len(panel.common_dates)} common dates (lost {lost})")
             except CrosslistError as exc:
                 _problem(f"alignment[{rec.n_code}]", exc)
-        if series is not None and fx_days is not None:
+        if series is not None and isinstance(fx, market_data.RateSeries):
             try:
-                market_data._fx_positions(series, fx_days)
+                market_data._fx_positions(series, fx)
             except CrosslistError as exc:
                 _problem(f"fx[{rec.n_code}]", exc)
 
@@ -361,8 +353,63 @@ def cmd_capm(config: RunConfig) -> int:
 # event-study
 # --------------------------------------------------------------------------
 
+def _write_event_reports(out_dir: Path, result: EventStudyResult, windows: EventWindows, usd: bool) -> None:
+    """Write coefficients.csv, event.csv, variance.csv and summary.json for a study with a panel."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "coefficients.csv", COEFFICIENTS_CSV_HEADER, (
+        [res.firm_id, *res.fit.mean_coefficients.tolist(), res.fit.spec.q, res.fit.spec.p, res.weight]
+        for res in result.firms
+    ))
+
+    panel = result.panel
+    # Python numbers throughout, so the significance cell is a bool, never np.bool_
+    _write_csv(out_dir / "event.csv", EVENT_CSV_HEADER, (
+        [offset, aar, car, z, math.isfinite(z) and abs(z) > Z_CRITICAL_5PCT]
+        for offset, aar, car, z in zip(
+            panel.offsets.tolist(), panel.aar.tolist(), panel.car.tolist(), panel.z.tolist()
+        )
+    ))
+
+    _write_csv(out_dir / "variance.csv", VARIANCE_CSV_HEADER, (
+        [row.firm_id, "nan", "nan", "nan", "error"] if row.error is not None else [
+            row.firm_id,
+            float(row.ratio),
+            float(row.f_result.ratio),
+            float(row.f_result.p_value),
+            bool(row.f_result.significant_5pct),
+        ]
+        for row in result.variance.rows
+    ))
+
+    day0 = -windows.event.lo  # the panel's offsets run over the event window, which holds day 0
+    summary = {
+        "n_firms_analyzed": len(result.firms),
+        "n_firms_skipped": len(result.skipped),
+        "skipped": {firm_id: str(exc) for firm_id, exc in result.skipped.items()},
+        "currency_mode": "usd" if usd else "local-currency",
+        "day0_aar": float(panel.aar[day0]),
+        "day0_z": float(panel.z[day0]),
+        "day0_significant_5pct": bool(abs(panel.z[day0]) > Z_CRITICAL_5PCT),
+        "cz_full_window": panel.cz_full_window,
+        "car_full_window": float(panel.car[-1]),
+        "windows": {name: [window.lo, window.hi] for name, window in vars(windows).items()},
+        "diagnostics": {
+            res.firm_id: {
+                "dw": res.diagnostics.dw_statistic,
+                "bg_p_value": res.diagnostics.bg_p_value,
+                "heteroskedastic_5pct": res.diagnostics.heteroskedastic_5pct,
+                "converged": res.fit.converged,
+            }
+            for res in result.firms
+        },
+    }
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def cmd_event_study(config: RunConfig) -> int:
-    """Run the full pipeline over the manifest and write the four reports."""
+    """Run the event study over the manifest and write the four reports."""
     if config.manifest_path is None or config.local_index_path is None or config.us_index_path is None:
         raise ConfigError("event-study needs manifest, local_index, and us_index configured")
     records = market_data.load_manifest(config.manifest_path)
@@ -373,121 +420,22 @@ def cmd_event_study(config: RunConfig) -> int:
         _warn("event-study failed: manifest has no instruments")
         return 1
 
-    windows = config.windows
-    needed = OffsetRange(
-        min(windows.estimation.lo, windows.pre_var.lo, windows.event.lo),
-        max(windows.event.hi, windows.post_var.hi),
+    def load_firm(rec) -> PriceSeries:
+        return _require_rows(market_data.load_prices, config.manifest_path.parent / rec.price_file)
+
+    result = run_event_study(
+        records, load_firm, local_prices, us_prices, fx, config.windows,
+        max_p=config.max_p, max_q=config.max_q,
     )
-
-    firm_results = []
-    firm_returns_for_variance = {}
-    skipped: dict[str, str] = {}
-    diagnostics: dict[str, dict] = {}
-
-    for rec in records:
-        firm_id = rec.n_code
-        try:
-            prices = _require_rows(market_data.load_prices, config.manifest_path.parent / rec.price_file)
-            if fx is not None:
-                prices = market_data.convert_to_usd(prices, fx)
-            panel = align([prices, local_prices, us_prices])
-            offsets = build_event_frame(panel, rec.us_listing_date)[1:]
-            returns, loc_ret, us_ret = (np.diff(np.log(v)) for v in panel.closes)
-            if offsets.min() > needed.lo or offsets.max() < needed.hi:
-                raise CrosslistError(
-                    f"coverage [{offsets.min()}, {offsets.max()}] does not span "
-                    f"[{needed.lo}, {needed.hi}]"
-                )
-            result = study_firm(
-                firm_id, returns, loc_ret, us_ret, offsets, windows,
-                weight=1.0, max_p=config.max_p, max_q=config.max_q,
-            )
-            diag = result.diagnostics
-            diagnostics[firm_id] = {
-                "dw": diag.dw_statistic,
-                "bg_p_value": diag.bg_p_value,
-                "heteroskedastic_5pct": diag.heteroskedastic_5pct,
-                "converged": result.fit.converged,
-            }
-            firm_results.append(result)
-            firm_returns_for_variance[firm_id] = (returns, offsets)
-        except (CrosslistError, OSError) as exc:
-            skipped[firm_id] = str(exc)
-            _warn(f"firm {firm_id} skipped: {exc}")
-
-    if not firm_results:
+    for firm_id, exc in result.skipped.items():
+        _warn(f"firm {firm_id} skipped: {exc}")
+    if result.panel is None:
         _warn("event-study failed: every firm was skipped")
         return 1
 
-    weights = cap_weights(records, [res.firm_id for res in firm_results])
-    firm_results = [replace(res, weight=weights[res.firm_id]) for res in firm_results]
-    panel_result = aggregate(firm_results, windows)
-    var_report = variance_ratio_report(firm_returns_for_variance, windows)
-
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-
-    coef_rows = []
-    for res in firm_results:
-        coef = res.fit.mean_coefficients
-        coef_rows.append([
-            res.firm_id,
-            float(coef[0]), float(coef[1]), float(coef[2]),
-            res.fit.alphas.shape[0], res.fit.gammas.shape[0],
-            res.weight,
-        ])
-    _write_csv(config.output_dir / "coefficients.csv", COEFFICIENTS_CSV_HEADER, coef_rows)
-
-    event_rows = []
-    for i, offset in enumerate(panel_result.offsets):
-        z = float(panel_result.z[i])
-        event_rows.append([
-            int(offset),
-            float(panel_result.aar[i]),
-            float(panel_result.car[i]),
-            z,
-            math.isfinite(z) and abs(z) > Z_CRITICAL_5PCT,
-        ])
-    _write_csv(config.output_dir / "event.csv", EVENT_CSV_HEADER, event_rows)
-
-    variance_rows = []
-    for row in var_report.rows:
-        if row.error is not None:
-            variance_rows.append([row.firm_id, "nan", "nan", "nan", "error"])
-        else:
-            variance_rows.append([
-                row.firm_id,
-                float(row.ratio),
-                float(row.f_result.ratio),
-                float(row.f_result.p_value),
-                bool(row.f_result.significant_5pct),
-            ])
-    _write_csv(config.output_dir / "variance.csv", VARIANCE_CSV_HEADER, variance_rows)
-
-    day0 = int(np.where(panel_result.offsets == 0)[0][0])
-    summary = {
-        "n_firms_analyzed": len(firm_results),
-        "n_firms_skipped": len(skipped),
-        "skipped": skipped,
-        "currency_mode": "usd" if fx is not None else "local-currency",
-        "day0_aar": float(panel_result.aar[day0]),
-        "day0_z": float(panel_result.z[day0]),
-        "day0_significant_5pct": bool(abs(panel_result.z[day0]) > Z_CRITICAL_5PCT),
-        "cz_full_window": panel_result.cz_full_window,
-        "car_full_window": float(panel_result.car[-1]),
-        "windows": {
-            "estimation": [windows.estimation.lo, windows.estimation.hi],
-            "event": [windows.event.lo, windows.event.hi],
-            "pre_var": [windows.pre_var.lo, windows.pre_var.hi],
-            "post_var": [windows.post_var.lo, windows.post_var.hi],
-        },
-        "diagnostics": diagnostics,
-    }
-    with open(config.output_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-
+    _write_event_reports(config.output_dir, result, config.windows, usd=fx is not None)
     _say(
-        f"{len(firm_results)} firm(s) analyzed, {len(skipped)} skipped -> "
+        f"{len(result.firms)} firm(s) analyzed, {len(result.skipped)} skipped -> "
         f"{config.output_dir}/{{coefficients,event,variance}}.csv, summary.json"
     )
     return 0
@@ -688,7 +636,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             config = load_config(args.config)
         else:
-            config = RunConfig(config_dir=Path.cwd(), output_dir=Path.cwd() / "out")
+            config = RunConfig(output_dir=Path.cwd() / "out")
         return commands[args.command](_apply_overrides(config, args))
     except (CrosslistError, OSError) as exc:
         _warn(f"error: {exc}")

@@ -53,10 +53,6 @@ class SeriesTooShort(CrosslistError):
     pass
 
 
-class WindowTooLarge(CrosslistError):
-    pass
-
-
 class DegenerateSample(CrosslistError):
     """Sample has fewer than two observations or zero variance."""
 

@@ -3,7 +3,8 @@ market model, cap-weighted averaging, cumulative abnormal returns,
 standardized abnormal returns, Z / cumulative-Z statistics, and pre/post
 variance-ratio reports.
 
-Per-firm stages are independent; `aggregate` is a deterministic reduction
+`run_event_study` runs the whole study over a manifest, one firm at a
+time, skipping a firm that fails; `aggregate` is a deterministic reduction
 over the per-firm results.  Days on which a firm has no data are carried
 as NaN and excluded from that day's cross-section (weights renormalize
 over the firms present), never interpolated.
@@ -11,12 +12,14 @@ over the firms present), never interpolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import market_data
 from .errors import (
+    CrosslistError,
     DegenerateSample,
     MisalignedOffsets,
     UnknownFirm,
@@ -24,7 +27,7 @@ from .errors import (
 )
 from .garch import GarchFit, select_lags
 from .linear_models import DiagnosticsReport, OlsFit, diagnostics_report, prediction_se
-from .market_data import InstrumentRecord
+from .market_data import InstrumentRecord, PriceSeries, RateSeries
 from .stats_core import FTestResult, variance_f_test
 
 Z_CRITICAL_5PCT = 1.96
@@ -74,6 +77,8 @@ class EventWindows:
                 f"estimation window must span >= {MIN_ESTIMATION_LENGTH} days, "
                 f"got {self.estimation.length}"
             )
+        if not self.event.lo <= 0 <= self.event.hi:
+            raise ValueError("the event window must contain day 0")
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,16 @@ class VarianceRatioReport:
     rows: tuple[VarianceRatioRow, ...]
 
 
+@dataclass(frozen=True)
+class EventStudyResult:
+    """What `run_event_study` found; `panel` and `variance` are None when every firm was skipped."""
+
+    firms: tuple[FirmEventResult, ...]
+    skipped: Mapping[str, Exception]
+    panel: EventPanelResult | None
+    variance: VarianceRatioReport | None
+
+
 def window_values(values, offsets, window: OffsetRange, fill_missing: bool = False) -> np.ndarray:
     """Select the observations whose event-time offsets fall inside `window`.
 
@@ -143,12 +158,11 @@ def window_values(values, offsets, window: OffsetRange, fill_missing: bool = Fal
     offsets = np.asarray(offsets)
     if values.shape != offsets.shape:
         raise MisalignedOffsets("values and offsets must have equal length")
+    mask = (offsets >= window.lo) & (offsets <= window.hi)
     if fill_missing:
         out = np.full(window.length, np.nan)
-        mask = (offsets >= window.lo) & (offsets <= window.hi)
         out[offsets[mask] - window.lo] = values[mask]
         return out
-    mask = (offsets >= window.lo) & (offsets <= window.hi)
     if not mask.any():
         raise WindowOutOfData(f"no observations inside [{window.lo}, {window.hi}]")
     return values[mask]
@@ -239,16 +253,14 @@ def aggregate(results: Sequence[FirmEventResult], windows: EventWindows) -> Even
         aar[t] = float(w @ ar[m, t])
         z[t] = float(np.sum(star[m, t]) * np.sqrt(1.0 / m.sum()))
 
-    car = np.cumsum(aar)
-    panel = EventPanelResult(
+    return EventPanelResult(
         offsets=offsets,
         aar=aar,
-        car=car,
+        car=np.cumsum(aar),
         z=z,
         cz_full_window=float(np.sum(z) * np.sqrt(1.0 / n_days)),
         n_firms_by_day=n_firms,
     )
-    return panel
 
 
 def variance_ratio_report(
@@ -323,4 +335,59 @@ def study_firm(
         weight=weight,
         fit=fit,
         diagnostics=diagnostics_report(fit.ols, [loc_est, us_est]),
+    )
+
+
+def run_event_study(
+    records: Sequence[InstrumentRecord],
+    load_prices: Callable[[InstrumentRecord], PriceSeries],
+    local_index: PriceSeries,
+    us_index: PriceSeries,
+    fx: RateSeries | None,
+    windows: EventWindows,
+    max_p: int = 1,
+    max_q: int = 1,
+) -> EventStudyResult:
+    """Study each manifest firm, then cap-weight, aggregate and compare variances.
+
+    A firm's closes come from `load_prices(record)`, in USD when `fx` is
+    given, and its aligned returns must cover every window.  `firms` holds
+    the analyzed firms with their cap weights.  A firm whose load or study
+    raises a CrosslistError or OSError is skipped: `skipped` maps its id to
+    that error, in manifest order.
+    """
+    lo = min(windows.estimation.lo, windows.pre_var.lo, windows.event.lo)
+    hi = max(windows.event.hi, windows.post_var.hi)
+    firms = []
+    returns_by_firm = {}
+    skipped: dict[str, Exception] = {}
+    for rec in records:
+        try:
+            prices = load_prices(rec)
+            if fx is not None:
+                prices = market_data.convert_to_usd(prices, fx)
+            panel = market_data.align([prices, local_index, us_index])
+            offsets = market_data.build_event_frame(panel, rec.us_listing_date)[1:]
+            returns, loc_ret, us_ret = (np.diff(np.log(v)) for v in panel.closes)
+            if offsets.min() > lo or offsets.max() < hi:
+                raise WindowOutOfData(
+                    f"coverage [{offsets.min()}, {offsets.max()}] does not span [{lo}, {hi}]"
+                )
+            firms.append(study_firm(
+                rec.n_code, returns, loc_ret, us_ret, offsets, windows,
+                weight=1.0, max_p=max_p, max_q=max_q,
+            ))
+            returns_by_firm[rec.n_code] = (returns, offsets)
+        except (CrosslistError, OSError) as exc:
+            skipped[rec.n_code] = exc
+    if not firms:
+        return EventStudyResult(firms=(), skipped=skipped, panel=None, variance=None)
+
+    weights = cap_weights(records, [res.firm_id for res in firms])
+    firms = tuple(replace(res, weight=weights[res.firm_id]) for res in firms)
+    return EventStudyResult(
+        firms=firms,
+        skipped=skipped,
+        panel=aggregate(firms, windows),
+        variance=variance_ratio_report(returns_by_firm, windows),
     )

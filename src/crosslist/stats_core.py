@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fdtr, fdtrc
 
-from .errors import DegenerateSample, SeriesTooShort, WindowTooLarge
+from .errors import DegenerateSample, SeriesTooShort
 from .market_data import PriceSeries
 
 
@@ -57,22 +56,6 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
         dates=prices.dates[1:],
         values=np.diff(np.log(prices.closes)),
     )
-
-
-def rolling_volatility(returns: ReturnSeries, window: int) -> np.ndarray:
-    """Trailing sample standard deviation over `window` returns.
-
-    Element k is the std of the window ending at k; the first window-1
-    slots are NaN (no full window yet).
-    """
-    n = len(returns)
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    if window > n:
-        raise WindowTooLarge(f"window {window} exceeds series length {n}")
-    out = np.full(n, np.nan)
-    out[window - 1 :] = sliding_window_view(returns.values, window).std(axis=1, ddof=1)
-    return out
 
 
 def variance_f_test(sample_a, sample_b) -> FTestResult:

@@ -507,6 +507,26 @@ class TestEventStudy:
         rows = read_csv(tmp_path / "w" / "event.csv")
         assert [int(r["offset"]) for r in rows] == list(range(-10, 11))
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_event_window_without_day_zero_is_config_error(self, tmp_path, capsys, source):
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=41)
+        reports = tmp_path / "reports"
+        argv = ["event-study", "--config", str(out / "run.ini"), "--out", str(reports)]
+        if source == "config":
+            with open(out / "run.ini", "a", encoding="utf-8") as f:
+                f.write("\n[windows]\nevent = 1,10\n")
+        else:
+            argv.append("--windows=-105,-15,1,10")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith("the event window must contain day 0")
+        assert "Traceback" not in captured.err
+        assert not reports.exists()
+
     def test_fx_mode_flagged(self, tmp_path):
         out = tmp_path / "bundle"
         generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=53)

@@ -1,22 +1,26 @@
-"""Event windows, abnormal returns, weighting, aggregation, and variance ratios."""
+"""Event windows, abnormal returns, weighting, aggregation, variance ratios, and the whole study."""
 
-from datetime import date
+from dataclasses import fields, replace
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from crosslist.errors import (
+    EventAfterPanelEnd,
     ExactFitNoVariance,
     MisalignedOffsets,
     UnknownFirm,
     WindowOutOfData,
 )
 from crosslist.event_study import (
+    EventPanelResult,
     EventWindows,
     OffsetRange,
     abnormal_returns,
     aggregate,
     cap_weights,
+    run_event_study,
     standardize,
     study_firm,
     variance_ratio_report,
@@ -24,9 +28,10 @@ from crosslist.event_study import (
 )
 from crosslist.garch import GarchSimConfig, GarchSpec, simulate_garch
 from crosslist.linear_models import ols_fit
-from crosslist.market_data import InstrumentRecord
+from crosslist.market_data import InstrumentRecord, PriceSeries
 
 from .support import simulate_panel
+from .test_market_data import weekday_dates
 
 REFERENCE_CAPS = {
     "SHI": 5.35e9,
@@ -75,6 +80,11 @@ class TestWindows:
     def test_unordered_range(self):
         with pytest.raises(ValueError):
             OffsetRange(5, -5)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10), (-10, -1)])
+    def test_event_window_must_contain_day_zero(self, lo, hi):
+        with pytest.raises(ValueError, match="the event window must contain day 0"):
+            EventWindows(event=OffsetRange(lo, hi))
 
 
 class TestWindowValues:
@@ -374,3 +384,75 @@ class TestStudyFirm:
         day0 = np.where(windows.event.offsets() == 0)[0][0]
         assert result.ar[day0] == pytest.approx(0.05, abs=0.08)
         assert abs(result.star[day0]) > abs(result.ar[day0]) / 0.2
+
+
+class TestRunEventStudy:
+    """The whole study on in-memory series: loads, skips, weights, panel, variance report."""
+
+    N_DAYS = 300
+    CAPS = {"A": 3e9, "B": 1e9, "C": 2e9, "D": 4e9, "E": 5e9}
+
+    def _inputs(self):
+        dates = tuple(weekday_dates(date(2006, 1, 2), self.N_DAYS))
+        rng = np.random.default_rng(71)
+        loc = 0.0002 + 0.012 * rng.standard_normal(self.N_DAYS - 1)
+        us = 0.0002 + 0.010 * rng.standard_normal(self.N_DAYS - 1)
+
+        def closes(returns):
+            return 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+
+        prices, records = {}, []
+        for i, (code, cap) in enumerate(self.CAPS.items()):
+            sim = simulate_garch(
+                GarchSimConfig(
+                    spec=GarchSpec(1, 1),
+                    true_mean_coefficients=(0.0, 0.8, 0.4),
+                    true_alpha0=0.02**2 * 0.07,
+                    true_alphas=(0.08,),
+                    true_gammas=(0.85,),
+                    length=self.N_DAYS - 1,
+                    seed=100 + i,
+                ),
+                loc,
+                us,
+            )
+            prices[code] = PriceSeries(code, dates, closes(sim.values))
+            # D lists a month after the last date every series holds
+            listing = dates[-1] + timedelta(days=30) if code == "D" else dates[150]
+            records.append(replace(record(code, cap), us_listing_date=listing))
+
+        def load_prices(rec):
+            if rec.n_code == "B":
+                raise OSError(f"{rec.price_file}: file not found")
+            return prices[rec.n_code]
+
+        sse = PriceSeries("sse", dates, closes(loc))
+        nyse = PriceSeries("nyse", dates, closes(us))
+        return records, load_prices, sse, nyse
+
+    def test_skips_weights_panel_and_variance(self):
+        records, load_prices, sse, nyse = self._inputs()
+        windows = EventWindows()
+        study = run_event_study(records, load_prices, sse, nyse, None, windows)
+
+        assert list(study.skipped) == ["B", "D"]
+        assert isinstance(study.skipped["B"], OSError)
+        assert isinstance(study.skipped["D"], EventAfterPanelEnd)
+        analyzed = [res.firm_id for res in study.firms]
+        assert analyzed == ["A", "C", "E"]
+        assert {res.firm_id: res.weight for res in study.firms} == cap_weights(records, analyzed)
+        expected = aggregate(study.firms, windows)
+        for field in fields(EventPanelResult):
+            np.testing.assert_array_equal(getattr(study.panel, field.name), getattr(expected, field.name))
+        assert [row.firm_id for row in study.variance.rows] == analyzed
+
+    def test_every_firm_skipped_leaves_no_panel(self):
+        records, _, sse, nyse = self._inputs()
+
+        def missing(rec):
+            raise OSError(f"{rec.price_file}: file not found")
+
+        study = run_event_study(records, missing, sse, nyse, None, EventWindows())
+        assert study.firms == ()
+        assert list(study.skipped) == list(self.CAPS)
+        assert study.panel is None and study.variance is None

@@ -19,3 +19,5 @@ def test_library_block_runs_on_a_simulated_bundle(tmp_path, monkeypatch):
     panel, offsets = namespace["panel"], namespace["offsets"]
     assert offsets.shape == (len(panel.common_dates),)
     assert namespace["result"].firm_id == "F00"
+    study, records = namespace["study"], namespace["records"]
+    assert len(study.firms) + len(study.skipped) == len(records)

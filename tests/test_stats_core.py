@@ -1,4 +1,4 @@
-"""Log returns, rolling volatility, and the two-sided variance F-test."""
+"""Log returns and the two-sided variance F-test."""
 
 from datetime import date
 
@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from crosslist.errors import DegenerateSample, SeriesTooShort, WindowTooLarge
+from crosslist.errors import DegenerateSample, SeriesTooShort
 from crosslist.market_data import PriceSeries
-from crosslist.stats_core import ReturnSeries, log_returns, rolling_volatility, variance_f_test
+from crosslist.stats_core import ReturnSeries, log_returns, variance_f_test
 
 from .test_market_data import weekday_dates
 
@@ -54,33 +54,6 @@ class TestLogReturns:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             log_returns(price_series([100.0]))
-
-
-class TestRollingVolatility:
-    def test_constant_returns(self):
-        out = rolling_volatility(return_series(np.full(10, 0.01)), window=5)
-        assert np.isnan(out[:4]).all()
-        assert out[4:].tolist() == [0.0] * 6
-
-    def test_alternating_closed_form(self):
-        # sample variance of (+x, -x, +x, -x) is 4x^2/3; x = 0.02
-        out = rolling_volatility(return_series([0.02, -0.02, 0.02, -0.02]), window=4)
-        assert out[3] == pytest.approx(0.023094010767585032, rel=1e-12)
-
-    def test_full_window_equals_sample_std(self):
-        rng = np.random.default_rng(5)
-        values = rng.normal(0, 0.02, 30)
-        out = rolling_volatility(return_series(values), window=30)
-        assert np.isnan(out[:-1]).all()
-        assert out[-1] == pytest.approx(values.std(ddof=1), rel=1e-12)
-
-    def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            rolling_volatility(return_series([0.1, 0.2]), window=3)
-
-    def test_window_below_two(self):
-        with pytest.raises(ValueError):
-            rolling_volatility(return_series([0.1, 0.2]), window=1)
 
 
 class TestVarianceFTest:
