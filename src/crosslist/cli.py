@@ -105,7 +105,8 @@ def _parse_ints(text: str, count: int, key: str) -> list[int]:
 def load_config(path: str | Path) -> RunConfig:
     """Parse the flat sectioned key=value config file."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # a ";" after whitespace starts a comment, as in README's example; "out;1" stays a value
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f)

@@ -14,6 +14,10 @@ line search (`_bfgs`) runs on the exact score (`_loglik`), called through
 `minimize` still see each run.  The hook is called without `jac`: the
 objective returns the value and the gradient together, and `_bfgs` unpacks
 both from one call, so scipy adds no memoizing wrapper around it.
+Each evaluation runs two banded solves of one vector: the variance filter
+forward for h, and its transpose backward for the score's adjoint.  Both
+run in the buffers of one `_Likelihood` per fit and scale, which the
+optimizer, the face check and the Hessian share.
 Returns are rescaled to unit residual variance internally and mapped back,
 which keeps the optimizer's tolerances scale-free.
 """
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import OptimizeResult, minimize
 
@@ -145,7 +150,7 @@ def _series_values(x) -> np.ndarray:
     return np.asarray(x, dtype=float).ravel()
 
 
-def _variance_filter(gammas, x) -> np.ndarray:
+def _variance_filter(gammas, x, trans="N", ab=None) -> np.ndarray:
     """Apply the variance AR filter: y_t = x_t + sum_k gammas[k-1] * y_{t-k}.
 
     Equal to `lfilter([1], [1, -gammas], x, axis=0)` with zero initial
@@ -154,53 +159,34 @@ def _variance_filter(gammas, x) -> np.ndarray:
     the unit-lower-triangular banded system L y = x in LAPACK band storage:
     row k of `ab` holds -gammas[k-1], the k-th subdiagonal of L (LAPACK
     reads its first T - k entries), and row 0 the unit diagonal, which
-    `diag="U"` leaves unread.
+    `diag="U"` leaves unread.  With trans="T" it solves L'y = x instead,
+    the adjoint filter y_t = x_t + sum_k gammas[k-1] * y_{t+k}, run backward
+    from zero after the last day.  A given `ab` already holds L, and `x`
+    (contiguous) is then overwritten with y.
     """
     if not len(gammas):
         return x
-    ab = np.empty((len(gammas) + 1, x.shape[0]), order="F")
-    ab[0] = 1.0
-    ab[1:] = -np.asarray(gammas, dtype=float)[:, None]
-    y, info = dtbtrs(ab, x, uplo="L", diag="U")
+    overwrite = ab is not None
+    if ab is None:
+        ab = np.empty((len(gammas) + 1, x.shape[0]), order="F")
+        ab[0] = 1.0
+        ab[1:] = -np.asarray(gammas, dtype=float)[:, None]
+    y, info = dtbtrs(ab, x, uplo="L", trans=trans, diag="U", overwrite_b=overwrite)
     if info != 0:
         raise ValueError(f"dtbtrs failed with info={info}")
     return y
 
 
-def _driving_term(eps2, alpha0, alphas, gammas, h0) -> np.ndarray:
-    """alpha0 plus the squared-error lags, so that h = _variance_filter(gammas, drive).
-
-    Pre-sample squared errors and variances are pinned at h0; with any
-    memory (p + q > 0) the first in-sample variance is h0 itself.
-    """
-    T = eps2.shape[0]
-    q = len(alphas)
-    p = len(gammas)
-    drive = np.full(T, alpha0, dtype=float)
-    for j in range(1, q + 1):
-        drive[:j] += alphas[j - 1] * h0
-        drive[j:] += alphas[j - 1] * eps2[: T - j]
-    for k in range(2, p + 1):
-        drive[1:k] += gammas[k - 1] * h0
-    if p or q:
-        drive[0] = h0
-    return drive
-
-
-def _conditional_variances(eps, alpha0, alphas, gammas, h0) -> np.ndarray:
-    """Variance recursion with pre-sample squared errors and variances pinned at h0."""
-    return _variance_filter(gammas, _driving_term(eps * eps, alpha0, alphas, gammas, h0))
-
-
-def _gaussian_loglik(eps, h) -> float:
-    return float(-0.5 * np.sum(_LOG_2PI + np.log(h) + eps * eps / h))
+def _beyond_clip(theta) -> bool:
+    """Whether a simplex logit lies outside +/- _Z_CLIP; on a Python list, cheaper than numpy here."""
+    return max(map(abs, theta[4:].tolist()), default=0.0) > _Z_CLIP
 
 
 def _natural(theta) -> np.ndarray:
     """Natural parameters (beta, alpha0, alphas, gammas) as one vector, from transformed ones."""
     params = theta.copy()
     params[3] = math.exp(min(theta[3], 60.0))
-    e = np.exp(params[4:].clip(-_Z_CLIP, _Z_CLIP))
+    e = np.exp(params[4:].clip(-_Z_CLIP, _Z_CLIP) if _beyond_clip(theta) else params[4:])
     params[4:] = e / (1.0 + e.sum())
     return params
 
@@ -216,24 +202,68 @@ def _encode(beta, alpha0, alphas, gammas) -> np.ndarray:
     return np.concatenate([beta, [np.log(alpha0)], z])
 
 
-def _loglik(params, y, X, q, p, h0, score=False):
+def _lag_views(padded, T) -> np.ndarray:
+    """Read-only T x m view of a buffer padded in front with m values: column j-1 is lag j."""
+    return sliding_window_view(padded, T)[::-1][1:].T
+
+
+class _Likelihood:
+    """Buffers for the log-likelihood of one window (y, X) at lags (q, p), reused by each evaluation.
+
+    The squared errors and the conditional variances are written into
+    buffers padded in front with the pre-sample value h0, so `e2_lags` and
+    `h_lags` are fixed views of their lags, e^2_{t-j} and h_{t-k}.  `ab`
+    holds the variance filter's band matrix L for the forward solve of h
+    and the backward solve of the score's adjoint `v`, whose buffer is
+    padded at the back with zeros so that `v_leads` holds v_{t+j}.
+    """
+
+    def __init__(self, y, X, q, p, h0):
+        T = y.shape[0]
+        self.y, self.X, self.q, self.p, self.h0 = y, X, q, p, h0
+        e2, h, v = np.full(q + T, h0), np.full(p + T, h0), np.zeros(T + q)
+        self.e2, self.h, self.v = e2[q:], h[p:], v[:T]
+        self.e2_lags, self.h_lags = _lag_views(e2, T), _lag_views(h, T)
+        self.v_leads = sliding_window_view(v, T)[1:].T
+        self.ab = np.empty((p + 1, T), order="F")
+        self.ab[0] = 1.0
+
+
+def _loglik(lik: _Likelihood, params, score=False):
     """Gaussian log-likelihood at natural parameters (beta, alpha0, alphas, gammas).
 
     The value is nan where alpha0 <= 0 or a conditional variance is not
     positive and finite.  With `score` the result is (loglik, gradient),
-    the gradient being all nan wherever the value is.  The derivatives of
-    h_t follow the same AR filter as h_t (Fiorentini, Calzolari & Panattoni
-    1996), driven by the derivatives of the driving term; h_1 = h0 and the
-    pre-sample lags are constants, exactly as in `_driving_term`.
+    the gradient being all nan wherever the value is.
+
+    h = L^-1 d, with L the variance filter and d the driving term alpha0 +
+    sum_j alphas[j] e^2_{t-j}; pre-sample lags are pinned at h0, and with
+    any memory (p + q > 0) so is h_1.  The score is w'L^-1 D, with w =
+    (z^2 - 1) / 2h and D the T x k derivative of d (for a gamma, the lagged
+    variances).  Forward mode filters D column by column (Fiorentini,
+    Calzolari & Panattoni 1996); the adjoint (Griewank & Walther 2008,
+    ch. 3) solves v = L^-T w once, backward, and takes v'D from the lag
+    views.  A pinned h_1 makes row 0 of D zero, so v_0 is dropped.
     """
+    q, p, h0 = lik.q, lik.p, lik.h0
     alpha0 = params[3]
     alphas = params[4 : 4 + q]
     gammas = params[4 + q :]
     valid = alpha0 > 0
     if valid:
-        eps = y - X @ params[:3]
-        eps2 = eps * eps
-        h = _variance_filter(gammas, _driving_term(eps2, alpha0, alphas, gammas, h0))
+        eps = lik.y - lik.X @ params[:3]
+        eps2 = np.multiply(eps, eps, out=lik.e2)
+        h = lik.h
+        h.fill(alpha0)
+        for j in range(q):  # ((alpha0 + a_1 e2_1) + a_2 e2_2): a matrix product rounds differently
+            h += alphas[j] * lik.e2_lags[:, j]
+        for k in range(2, p + 1):
+            h[1:k] += gammas[k - 1] * h0
+        if p or q:
+            h[0] = h0
+        if p:
+            lik.ab[1:] = -gammas[:, None]
+            _variance_filter(gammas, h, ab=lik.ab)
         valid = h.min() > 0.0 and h.max() < math.inf  # a nan in h fails both
     if not valid:
         return (math.nan, np.full(params.shape[0], math.nan)) if score else math.nan
@@ -242,25 +272,17 @@ def _loglik(params, y, X, q, p, h0, score=False):
     if not score:
         return ll
 
-    # D[t, i] = d(driving term at t) / d params[i]; any lag pins h_1 at h0
-    T = eps.shape[0]
-    ex = eps[:, None] * X
-    D = np.zeros((T, params.shape[0]), order="F")  # LAPACK's layout, for _variance_filter
-    D[1 if p or q else 0 :, 3] = 1.0
-    for j in range(1, q + 1):
-        D[j:, :3] -= 2.0 * alphas[j - 1] * ex[: T - j]
-        D[1:j, 3 + j] = h0
-        D[j:, 3 + j] = eps2[: T - j]
-    for k in range(1, p + 1):
-        D[1:k, 3 + q + k] = h0
-        D[k:, 3 + q + k] = h[: T - k]
-    D = _variance_filter(gammas, D)
-    grad = (0.5 * (z2 - 1.0) / h) @ D
-    grad[:3] += (eps / h) @ X
-    return ll, grad
+    v = np.divide(0.5 * (z2 - 1.0), h, out=lik.v)
+    if p:
+        _variance_filter(gammas, v, "T", lik.ab)
+    if p or q:
+        v[0] = 0.0
+    # D's mean columns are -2 alphas[j] e_{t-j} x_{t-j}, so v meets them j days ahead
+    mean = (eps / h - 2.0 * eps * (lik.v_leads @ alphas)) @ lik.X
+    return ll, np.concatenate([mean, [v.sum()], v @ lik.e2_lags, v @ lik.h_lags])
 
 
-def _transformed_loglik(theta, y, X, q, p, h0):
+def _transformed_loglik(lik: _Likelihood, theta):
     """Log-likelihood at transformed parameters and its gradient in them.
 
     The natural-parameter score is chained through `_natural`'s log and
@@ -268,15 +290,17 @@ def _transformed_loglik(theta, y, X, q, p, h0):
     +/- _Z_CLIP) has zero gradient, as the decoded parameters do not move.
     """
     params = _natural(theta)
-    ll, grad = _loglik(params, y, X, q, p, h0, score=True)
+    ll, grad = _loglik(lik, params, score=True)
     coefs = params[4:]
     gc = grad[4:]
     grad[3] = grad[3] * params[3] if theta[3] <= 60.0 else 0.0
-    grad[4:] = np.where(np.abs(theta[4:]) > _Z_CLIP, 0.0, coefs * (gc - coefs @ gc))
+    grad[4:] = coefs * (gc - coefs @ gc)
+    if _beyond_clip(theta):
+        grad[4:][np.abs(theta[4:]) > _Z_CLIP] = 0.0
     return ll, grad
 
 
-def _reentry_point(theta, y, X, q, p, h0):
+def _reentry_point(lik: _Likelihood, theta):
     """Start for a second BFGS run when the first is trapped on a simplex face, else None.
 
     The simplex map's gradient vanishes on its faces (dc/dz = c(1 - c) -> 0),
@@ -289,7 +313,7 @@ def _reentry_point(theta, y, X, q, p, h0):
     _REENTRY_MASS, taken proportionally from the others.
     """
     params = _natural(theta)
-    _, grad = _loglik(params, y, X, q, p, h0, score=True)
+    _, grad = _loglik(lik, params, score=True)
     # the simplex as `_natural` builds it, with the slack as a quotient: 1 - sum
     # can round to zero or below on a face, and every part must stay > 0
     e = np.exp(theta[4:].clip(-_Z_CLIP, _Z_CLIP))
@@ -306,7 +330,7 @@ def _reentry_point(theta, y, X, q, p, h0):
     return np.concatenate([params[:3], [np.log(params[3])], np.log(s[:-1] / s[-1])])
 
 
-def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
+def _hessian_std_errors(lik: _Likelihood, params) -> np.ndarray:
     """Standard errors from -H, H the central-difference Jacobian of the analytic score.
 
     Column i is (g(x + s_i e_i) - g(x - s_i e_i)) / 2 s_i, s_i = 1e-5 |x_i| (floor 1e-8);
@@ -323,13 +347,13 @@ def _hessian_std_errors(params, y, X, q, p, h0) -> np.ndarray:
     for i in range(k):
         e = np.zeros(k)
         e[i] = steps[i]
-        up = _loglik(params + e, y, X, q, p, h0, score=True)[1]
+        up = _loglik(lik, params + e, score=True)[1]
         if i == 3 and params[3] <= steps[3]:
-            at = _loglik(params, y, X, q, p, h0, score=True)[1]
-            beyond = _loglik(params + 2.0 * e, y, X, q, p, h0, score=True)[1]
+            at = _loglik(lik, params, score=True)[1]
+            beyond = _loglik(lik, params + 2.0 * e, score=True)[1]
             H[:, i] = (4.0 * up - 3.0 * at - beyond) / (2.0 * steps[i])
         else:
-            down = _loglik(params - e, y, X, q, p, h0, score=True)[1]
+            down = _loglik(lik, params - e, score=True)[1]
             H[:, i] = (up - down) / (2.0 * steps[i])
     H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)):
@@ -428,8 +452,8 @@ def _bfgs(fun, x0, *, gtol, maxiter, **_):
         s, y = step[0] * direction, step[3] - g
         x, f_prev, f, g, sy = x + s, f, step[1], step[3], float(s @ y)
         if sy > 0.0:
-            A = eye - np.outer(s, y) / sy
-            H = A @ H @ A.T + np.outer(s, s) / sy
+            A = eye - s[:, None] * y / sy  # np.outer's product, without its call
+            H = A @ H @ A.T + s[:, None] * s / sy
         nit += 1
     message = ("gradient sup-norm at most gtol", "maximum iterations reached", "line search failed")[status]
     return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status, success=not status, message=message)
@@ -471,27 +495,34 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
         raise NonFiniteLikelihood("OLS residual variance is not positive and finite")
     q, p = spec.q, spec.p
 
+    lik = _Likelihood(yv, X, q, p, resid_var)
     if p == 0 and q == 0:
-        sigma2 = float(resid @ resid) / n
-        params = np.concatenate([base.coefficients, [sigma2]])
-        h = np.full(n, sigma2)
-        return GarchFit(
-            mean_coefficients=base.coefficients,
-            alpha0=sigma2,
-            alphas=np.empty(0),
-            gammas=np.empty(0),
-            conditional_variances=h,
-            log_likelihood=_gaussian_loglik(resid, h),
-            std_errors=_hessian_std_errors(params, yv, X, q, p, resid_var),
-            converged=True,
-            ols=base,
-        )
+        params, converged = np.concatenate([base.coefficients, [float(resid @ resid) / n]]), True
+    else:
+        params, converged = _maximize(yv, loc, us, base.coefficients, resid_var, q, p)
+    ll = _loglik(lik, params)
+    h = lik.h.copy()  # the Hessian's evaluations reuse the buffer
+    return GarchFit(
+        mean_coefficients=params[:3],
+        alpha0=float(params[3]),
+        alphas=params[4 : 4 + q],
+        gammas=params[4 + q :],
+        conditional_variances=h,
+        log_likelihood=ll,
+        std_errors=_hessian_std_errors(lik, params),
+        converged=converged,
+        ols=base,
+    )
 
+
+def _maximize(yv, loc, us, coefficients, resid_var, q, p):
+    """`fit_garch_market_model`'s BFGS runs, as (natural parameters, converged)."""
     # work on returns rescaled to unit OLS residual variance
+    n = yv.shape[0]
     scale = 1.0 / np.sqrt(resid_var)
     ys = yv * scale
     Xs = np.column_stack([np.ones(n), loc * scale, us * scale])
-    h0s = 1.0
+    lik = _Likelihood(ys, Xs, q, p, 1.0)
 
     alphas0 = np.full(q, 0.01)
     if q:
@@ -503,7 +534,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
         # without squared-error feedback keep the start mildly persistent
         gammas0[0] = 0.5
     alpha0_start = max(1.0 - alphas0.sum() - gammas0.sum(), 1e-6)
-    beta_s = base.coefficients.copy()
+    beta_s = coefficients.copy()
     beta_s[0] *= scale
     theta0 = _encode(beta_s, alpha0_start, alphas0, gammas0)
 
@@ -513,7 +544,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_f, best_x, best_g
-        ll, grad = _transformed_loglik(theta, ys, Xs, q, p, h0s)
+        ll, grad = _transformed_loglik(lik, theta)
         if not (math.isfinite(ll) and np.isfinite(grad).all()):
             return _BIG, np.zeros_like(theta)
         if -ll < best_f:
@@ -529,7 +560,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     res = minimize(objective, theta0, method=_bfgs, options=options)
     # one fresh run when the first is trapped on a simplex face or stalled
     # (a failed line search on a stale inverse Hessian); the better run counts
-    start = _reentry_point(best_x, ys, Xs, q, p, h0s)
+    start = _reentry_point(lik, best_x)
     if start is not None or not res.success:
         retry = minimize(objective, best_x if start is None else start, method=_bfgs, options=options)
         if retry.fun < res.fun:
@@ -539,23 +570,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     beta_hat_s, alpha0_s, alphas_hat, gammas_hat = _decode(best_x, q, p)
     mean_coefficients = beta_hat_s.copy()
     mean_coefficients[0] /= scale
-    alpha0_hat = alpha0_s / scale**2
-
-    eps = yv - X @ mean_coefficients
-    h = _conditional_variances(eps, alpha0_hat, alphas_hat, gammas_hat, resid_var)
-    ll = _gaussian_loglik(eps, h)
-    params = np.concatenate([mean_coefficients, [alpha0_hat], alphas_hat, gammas_hat])
-    return GarchFit(
-        mean_coefficients=mean_coefficients,
-        alpha0=float(alpha0_hat),
-        alphas=alphas_hat,
-        gammas=gammas_hat,
-        conditional_variances=h,
-        log_likelihood=ll,
-        std_errors=_hessian_std_errors(params, yv, X, q, p, resid_var),
-        converged=converged,
-        ols=base,
-    )
+    return np.concatenate([mean_coefficients, [alpha0_s / scale**2], alphas_hat, gammas_hat]), converged
 
 
 def select_lags(

@@ -23,6 +23,7 @@ from crosslist.event_study import (
     standardize,
     window_values,
 )
+from crosslist.garch import _LOG_2PI, _variance_filter
 from crosslist.linear_models import ols_fit
 from crosslist.market_data import PRICE_COLUMNS
 
@@ -155,3 +156,55 @@ def simulate_garch_values_reference(config, loc, us) -> np.ndarray:
 
     X = np.column_stack([np.ones(T), loc, us])
     return X @ beta + np.array(eps)
+
+
+def garch_loglik_reference(params, y, X, q, p, h0, score=False):
+    """The GARCH log-likelihood and its score in forward mode: the earlier `_loglik`, kept verbatim.
+
+    The derivatives of the driving term, a T x k matrix D, run through the
+    variance filter column by column (Fiorentini, Calzolari & Panattoni
+    1996); the score is w'(L^-1 D) with w = (z^2 - 1) / 2h.  The driving
+    term is formed in the same order as `_loglik` forms it, and filtered by
+    the same `_variance_filter` (which has its own recursion oracle), so
+    the values match bit for bit and only the score's rounding differs.
+    """
+    alpha0 = params[3]
+    alphas = params[4 : 4 + q]
+    gammas = params[4 + q :]
+    valid = alpha0 > 0
+    if valid:
+        eps = y - X @ params[:3]
+        eps2 = eps * eps
+        T = eps.shape[0]
+        drive = np.full(T, alpha0, dtype=float)
+        for j in range(1, q + 1):
+            drive[:j] += alphas[j - 1] * h0
+            drive[j:] += alphas[j - 1] * eps2[: T - j]
+        for k in range(2, p + 1):
+            drive[1:k] += gammas[k - 1] * h0
+        if p or q:
+            drive[0] = h0
+        h = _variance_filter(gammas, drive)
+        valid = h.min() > 0.0 and h.max() < math.inf
+    if not valid:
+        return (math.nan, np.full(params.shape[0], math.nan)) if score else math.nan
+    z2 = eps2 / h
+    ll = float(-0.5 * (_LOG_2PI + np.log(h) + z2).sum())
+    if not score:
+        return ll
+
+    # D[t, i] = d(driving term at t) / d params[i]; any lag pins h_1 at h0
+    ex = eps[:, None] * X
+    D = np.zeros((T, params.shape[0]), order="F")
+    D[1 if p or q else 0 :, 3] = 1.0
+    for j in range(1, q + 1):
+        D[j:, :3] -= 2.0 * alphas[j - 1] * ex[: T - j]
+        D[1:j, 3 + j] = h0
+        D[j:, 3 + j] = eps2[: T - j]
+    for k in range(1, p + 1):
+        D[1:k, 3 + q + k] = h0
+        D[k:, 3 + q + k] = h[: T - k]
+    D = _variance_filter(gammas, D)
+    grad = (0.5 * (z2 - 1.0) / h) @ D
+    grad[:3] += (eps / h) @ X
+    return ll, grad

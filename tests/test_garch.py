@@ -15,10 +15,9 @@ from crosslist.garch import (
     GarchSimConfig,
     GarchSpec,
     _bfgs,
-    _conditional_variances,
     _decode,
     _encode,
-    _gaussian_loglik,
+    _Likelihood,
     _loglik,
     _transformed_loglik,
     _variance_filter,
@@ -30,7 +29,7 @@ from crosslist.garch import (
 )
 from crosslist.linear_models import ols_fit
 
-from .support import simulate_garch_values_reference
+from .support import garch_loglik_reference, simulate_garch_values_reference
 
 
 def make_indexes(rng, n):
@@ -47,6 +46,13 @@ def counted_runs(monkeypatch) -> list:
 
     monkeypatch.setattr("crosslist.garch.minimize", counted)
     return runs
+
+
+def conditional_variances(eps, alpha0, alphas, gammas, h0):
+    """The conditional variances `_loglik` filters for residuals eps: y = eps, a zero mean equation."""
+    lik = _Likelihood(np.asarray(eps, dtype=float), np.zeros((len(eps), 3)), len(alphas), len(gammas), h0)
+    _loglik(lik, np.concatenate([np.zeros(3), [alpha0], alphas, gammas]))
+    return lik.h.copy()
 
 
 def sim_config(n, seed, alpha0=4e-5, alphas=(0.1,), gammas=(0.8,), beta=(0.0002, 0.6, 0.3)):
@@ -88,13 +94,13 @@ class TestConditionalVariances:
                 alphas = [0.06, 0.03][:q]
                 gammas = [0.65, 0.1][:p]
                 eps = rng.standard_normal(64)
-                got = _conditional_variances(eps, 0.25, alphas, gammas, 1.4)
+                got = conditional_variances(eps, 0.25, alphas, gammas, 1.4)
                 np.testing.assert_allclose(got, naive(eps, 0.25, alphas, gammas, 1.4), rtol=1e-12)
 
     def test_positive_for_stationary_parameters(self):
         rng = np.random.default_rng(3)
         eps = rng.standard_normal(200)
-        h = _conditional_variances(eps, 1e-6, [0.1], [0.85], 0.5)
+        h = conditional_variances(eps, 1e-6, [0.1], [0.85], 0.5)
         assert np.all(h > 0)
 
 
@@ -121,6 +127,27 @@ class TestVarianceFilter:
         # recursion run on |x|, as signed inputs cancel
         scale = self.naive(gammas, np.abs(x))
         assert np.all(np.abs(got - self.naive(gammas, x)) <= 1e-15 * scale)
+
+    @staticmethod
+    def naive_backward(gammas, x):
+        # independent oracle for L'y = x: y_t = x_t + sum_k gammas[k-1] * y_{t+k}, zero after T - 1
+        y = np.array(x, dtype=float)
+        for t in range(y.shape[0] - 1, -1, -1):
+            for k in range(1, len(gammas) + 1):
+                if t + k < y.shape[0]:
+                    y[t] = y[t] + gammas[k - 1] * y[t + k]
+        return y
+
+    @pytest.mark.parametrize("gammas", [[0.85], [0.6, 0.3]])
+    @pytest.mark.parametrize("T", [1, 2, 3, 91])
+    @pytest.mark.parametrize("columns", [None, 9])
+    def test_transposed_matches_backward_recursion(self, gammas, T, columns):
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal(T if columns is None else (T, columns))
+        got = _variance_filter(np.array(gammas), x, "T")
+        assert got.shape == x.shape
+        scale = self.naive_backward(gammas, np.abs(x))
+        assert np.all(np.abs(got - self.naive_backward(gammas, x)) <= 1e-15 * scale)
 
 
 def central_difference(f, x, rel=1e-6):
@@ -153,9 +180,10 @@ class TestScore:
     def test_natural_score_matches_central_differences(self, p, q):
         y, X = self.window()
         params = self.natural_point(p, q)
-        ll, grad = _loglik(params, y, X, q, p, self.H0, score=True)
-        assert ll == _loglik(params, y, X, q, p, self.H0)
-        numeric = central_difference(lambda v: _loglik(v, y, X, q, p, self.H0), params)
+        lik = _Likelihood(y, X, q, p, self.H0)
+        ll, grad = _loglik(lik, params, score=True)
+        assert ll == _loglik(lik, params)
+        numeric = central_difference(lambda v: _loglik(lik, v), params)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("p,q", SPECS)
@@ -163,10 +191,9 @@ class TestScore:
         y, X = self.window()
         params = self.natural_point(p, q)
         theta = _encode(params[:3], params[3], params[4 : 4 + q], params[4 + q :])
-        _, grad = _transformed_loglik(theta, y, X, q, p, self.H0)
-        numeric = central_difference(
-            lambda t: _transformed_loglik(t, y, X, q, p, self.H0)[0], theta
-        )
+        lik = _Likelihood(y, X, q, p, self.H0)
+        _, grad = _transformed_loglik(lik, theta)
+        numeric = central_difference(lambda t: _transformed_loglik(lik, t)[0], theta)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
 
     def test_clipped_coordinates_have_zero_gradient(self):
@@ -175,13 +202,62 @@ class TestScore:
         theta = _encode(params[:3], params[3], params[4:6], params[6:])
         theta[3] = 61.0  # log alpha0 beyond its cap of 60
         theta[4] = -45.0  # alphas[0] logit beyond the clip
-        _, grad = _transformed_loglik(theta, y, X, 2, 2, self.H0)
+        lik = _Likelihood(y, X, 2, 2, self.H0)
+        _, grad = _transformed_loglik(lik, theta)
         assert grad[3] == 0.0 and grad[4] == 0.0
-        numeric = central_difference(
-            lambda t: _transformed_loglik(t, y, X, 2, 2, self.H0)[0], theta
-        )
+        numeric = central_difference(lambda t: _transformed_loglik(lik, t)[0], theta)
         assert numeric[3] == 0.0 and numeric[4] == 0.0
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+
+class TestAdjointScore:
+    """`_loglik` against the forward-mode reference, which filters the T x k derivative matrix."""
+
+    @staticmethod
+    def points(p, q, n=24):
+        # seeded windows and parameters; every third point is near a face: a
+        # lag coefficient down to 1e-12, the slack 1 - sum down to 1e-9, or alpha0 down to 1e-15
+        rng = np.random.default_rng(100 + 10 * p + q)
+        for i in range(n):
+            X = np.column_stack([np.ones(91), rng.standard_normal(91), rng.standard_normal(91)])
+            y = X @ rng.normal(0.0, 0.5, 3) + rng.uniform(0.5, 2.0) * rng.standard_normal(91)
+            c = rng.dirichlet(np.ones(q + p + 1))[: q + p]
+            alpha0 = 10.0 ** rng.uniform(-3.0, 0.0)
+            if i % 3 == 2:
+                face = i // 3 % 3
+                if face == 0 and q + p:
+                    c[rng.integers(q + p)] = 10.0 ** rng.uniform(-12.0, -6.0)
+                elif face == 1 and q + p:
+                    c *= (1.0 - 10.0 ** rng.uniform(-9.0, -4.0)) / c.sum()
+                else:
+                    alpha0 = 10.0 ** rng.uniform(-15.0, -10.0)
+            yield y, X, rng.uniform(0.5, 2.0), np.concatenate([rng.normal(0.0, 0.5, 3), [alpha0], c])
+
+    @pytest.mark.parametrize("p,q", SPECS)
+    def test_matches_forward_mode_reference(self, p, q):
+        for y, X, h0, params in self.points(p, q):
+            ll_ref, g_ref = garch_loglik_reference(params, y, X, q, p, h0, score=True)
+            lik = _Likelihood(y, X, q, p, h0)
+            ll, g = _loglik(lik, params, score=True)
+            assert ll == ll_ref and _loglik(lik, params) == ll_ref
+            assert np.all(np.abs(g - g_ref) <= 1e-12 * (1.0 + np.abs(g_ref).max()))
+
+    @pytest.mark.parametrize("p,q", SPECS)
+    def test_lag_views_are_read_only_slices(self, p, q):
+        y, X, h0, params = next(self.points(p, q))
+        lik = _Likelihood(y, X, q, p, h0)
+        for params in (params, params * 1.01):  # a second evaluation refreshes the views
+            _loglik(lik, params)
+            eps = y - X @ params[:3]
+            for j in range(1, q + 1):
+                np.testing.assert_array_equal(lik.e2_lags[:, j - 1], np.r_[np.full(j, h0), (eps * eps)[:-j]])
+            for k in range(1, p + 1):
+                np.testing.assert_array_equal(lik.h_lags[:, k - 1], np.r_[np.full(k, h0), lik.h[:-k]])
+        assert lik.e2_lags.shape == (91, q) and lik.h_lags.shape == (91, p)
+        for view in (lik.e2_lags, lik.h_lags):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[...] = 0.0
 
 
 class TestDegenerateSpec:
@@ -382,13 +458,14 @@ class TestFitRecovery:
             h0 = float(ols_fit(y, [loc, us]).residuals.var(ddof=1))
             for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
                 fit = fit_garch_market_model(y, loc, us, GarchSpec(p, q))
+                lik = _Likelihood(y, X, q, p, h0)
                 with np.errstate(divide="ignore"):
                     theta = _encode(fit.mean_coefficients, fit.alpha0, fit.alphas, fit.gammas)
                 theta[4:] = np.clip(theta[4:], -40.0, 40.0)
 
                 def negll(t):
                     beta, a0, al, ga = _decode(t, q, p)
-                    v = _loglik(np.concatenate([beta, [a0], al, ga]), y, X, q, p, h0)
+                    v = _loglik(lik, np.concatenate([beta, [a0], al, ga]))
                     return -v if np.isfinite(v) else np.inf
 
                 nm = minimize(
@@ -416,9 +493,9 @@ class TestFitRecovery:
         sim = simulate_garch(sim_config(1000, seed=505, alpha0=4e-5), loc, us)
         base = ols_fit(sim.values, [loc, us])
         resid_var = float(base.residuals.var(ddof=1))
-        eps = base.residuals
-        h_start = _conditional_variances(eps, 0.05 * resid_var, [0.05], [0.90], resid_var)
-        start_ll = _gaussian_loglik(eps, h_start)
+        X = np.column_stack([np.ones(1000), loc, us])
+        start = np.concatenate([base.coefficients, [0.05 * resid_var, 0.05, 0.90]])
+        start_ll = _loglik(_Likelihood(sim.values, X, 1, 1, resid_var), start)
         fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
         assert fit.log_likelihood >= start_ll - 1e-9
 

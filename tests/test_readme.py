@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from crosslist.cli import main
+from crosslist.cli import load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +21,17 @@ def test_library_block_runs_on_a_simulated_bundle(tmp_path, monkeypatch):
     assert namespace["result"].firm_id == "F00"
     study, records = namespace["study"], namespace["records"]
     assert len(study.firms) + len(study.skipped) == len(records)
+
+
+def test_config_block_loads(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    (tmp_path / "run.ini").write_text(block, encoding="utf-8")
+    config = load_config(tmp_path / "run.ini")
+    assert config.fx_path.name == "fx.csv"
+    assert config.period == "monthly"
+    assert config.sim_effect == 0.0
+
+
+def test_semicolon_without_space_is_part_of_the_value(tmp_path):
+    (tmp_path / "run.ini").write_text("[run]\noutput_dir = out;1\n", encoding="utf-8")
+    assert load_config(tmp_path / "run.ini").output_dir.name == "out;1"
