@@ -452,9 +452,11 @@ _INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Te
 MAX_SIM_DAYS = 2_085_535
 
 
-def _business_dates(n_days: int) -> tuple:
+def _business_dates(n_days: int) -> tuple[tuple, np.ndarray]:
+    """The first `n_days` business days from 2006-01-02, as dates and as day numbers."""
     grid = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
-    return tuple(grid.astype("datetime64[D]").tolist())
+    grid = grid.astype("datetime64[D]")
+    return tuple(grid.tolist()), grid.view(np.int64) + market_data._UNIX_EPOCH_ORDINAL
 
 
 def _prices_from_returns(first_close: float, returns: np.ndarray) -> np.ndarray:
@@ -481,19 +483,15 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         raise ConfigError(f"effect must be finite, got {effect}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    dates = _business_dates(n_days)
+    dates, days = _business_dates(n_days)
     n_returns = n_days - 1
 
     loc_ret = 0.0002 + 0.012 * rng.standard_normal(n_returns)
     us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
-    market_data.write_prices(
-        PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret)),
-        out_dir / "sse.csv",
-    )
-    market_data.write_prices(
-        PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret)),
-        out_dir / "nyse.csv",
-    )
+    # every series is built on the grid's day numbers, so none maps `toordinal` over the dates
+    on_grid = partial(market_data._on_days, PriceSeries, days)
+    market_data.write_prices(on_grid("sse", dates, _prices_from_returns(100.0, loc_ret)), out_dir / "sse.csv")
+    market_data.write_prices(on_grid("nyse", dates, _prices_from_returns(100.0, us_ret)), out_dir / "nyse.csv")
     loc_series = ReturnSeries("sse", dates[1:], loc_ret)
     us_series = ReturnSeries("nyse", dates[1:], us_ret)
 
@@ -525,7 +523,7 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         returns[event_idx - 1] += effect
         price_file = f"prices_{n_code}.csv"
         try:
-            firm = PriceSeries(n_code, dates, _prices_from_returns(50.0, returns))
+            firm = on_grid(n_code, dates, _prices_from_returns(50.0, returns))
         except NonPositivePrice:
             raise ConfigError(
                 f"firm {n_code}'s simulated closes leave the floating-point range "

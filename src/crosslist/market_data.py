@@ -5,14 +5,23 @@ row, so a batch run never silently drops or patches bad input.  Numeric
 cells accept a decimal comma (normalized to a decimal point at ingest) and
 must be finite; dates must be ISO-8601 `YYYY-MM-DD`; files must be UTF-8.
 
-The dated-value loaders check the file's text: the header line, then one
-regular expression that pins every line to `YYYY-MM-DD,<cell>`, then whole
-columns (numpy's `datetime64[D]` parse of the dates, `float` over the
-values).  Any other file goes through `csv.reader` and the per-row checks,
-at per-row speed: they raise the error that names the first bad row, or
-load a valid file of another shape (quoted or decimal-comma cells, padded
-cells, blank lines, lone-CR line ends, a header in other case).  Dates are
-compared and aligned as sorted int64 day numbers (`date.toordinal`).
+The dated-value loaders check the file's bytes: the header line, then numpy
+array checks that pin every line to `YYYY-MM-DD,<cell>` (line starts from
+the LF positions, ASCII digits and dashes at the date offsets, one comma per
+line at offset 10, no quote, a CR only before an LF, cells within csv's
+field size limit), then whole columns (numpy's `datetime64[D]` parse of the
+10-byte date fields, `float` over the values).  Any other file goes through
+`csv.reader` and the per-row checks, at per-row speed: they raise the error
+that names the first bad row, or load a valid file of another shape (quoted
+or decimal-comma cells, padded cells, blank lines, lone-CR line ends, a
+header in other case).
+
+Dates are compared and aligned as sorted int64 day numbers
+(`date.toordinal`).  Each series holds them as `_days`; the loaders,
+`convert_to_usd` and the simulator hand over the day numbers they already
+hold through `_on_days`, so only a series built from dates alone maps
+`toordinal` over them.  Alignment searches the shortest series' days in
+each of the others, one binary search per day.
 """
 
 from __future__ import annotations
@@ -21,9 +30,9 @@ import bisect
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
-from functools import partial, reduce
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -60,6 +69,10 @@ RISK_FREE_COLUMNS = ("date", "annual_yield_pct")
 # the one accepted date form; Python 3.11+ `date.fromisoformat` also takes
 # forms such as 20060102 and 2006-W01-1, which 3.10 rejects
 _YYYY_MM_DD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+# the bytes of a date the text check takes, "0" standing for any ASCII digit
+_DATE = np.frombuffer(b"0000-00-00", np.uint8)
+_DATE_DIGITS = _DATE == ord("0")
+_LF, _CR, _COMMA, _QUOTE = b'\n\r,"'
 # date(1970, 1, 1).toordinal(): day numbers minus this are numpy's datetime64[D]
 _UNIX_EPOCH_ORDINAL = 719163
 
@@ -85,7 +98,8 @@ class PriceSeries:
     instrument_id: str
     dates: tuple[date, ...]
     closes: np.ndarray
-    # `dates` as day numbers, computed once here for alignment and FX conversion
+    # `dates` as day numbers, for alignment and FX conversion: computed here,
+    # or handed over by `_on_days` from a caller that already holds them
     _days: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -95,7 +109,7 @@ class PriceSeries:
             raise ValueError("dates and closes must have equal length")
         if np.any(~np.isfinite(closes)) or np.any(closes <= 0.0):
             raise NonPositivePrice(f"{self.instrument_id}: closes must be finite and > 0")
-        days = _day_numbers(self.dates)
+        days = _known_days(self)
         if np.any(np.diff(days) <= 0):
             raise ValueError(f"{self.instrument_id}: dates must be strictly increasing")
         object.__setattr__(self, "_days", days)
@@ -113,11 +127,11 @@ class RateSeries:
 
     dates: tuple[date, ...]
     values: np.ndarray
-    # `dates` as day numbers, computed once here for FX conversion
+    # `dates` as day numbers, for FX conversion, as in `PriceSeries`
     _days: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_days", _day_numbers(self.dates))
+        object.__setattr__(self, "_days", _known_days(self))
 
 
 @dataclass(frozen=True)
@@ -147,6 +161,25 @@ def _to_date(text: str) -> date:
 
 def _day_numbers(dates: Sequence[date]) -> np.ndarray:
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+
+
+def _on_days(cls, days: np.ndarray, *fields):
+    """`cls(*fields)`, a `PriceSeries` or `RateSeries`, given the day numbers of its dates.
+
+    The one way to skip the `toordinal` pass over dates whose day numbers
+    the caller already holds; the series' own checks all still run.
+    """
+    series = object.__new__(cls)
+    object.__setattr__(series, "_days", days)
+    series.__init__(*fields)
+    return series
+
+
+def _known_days(series: PriceSeries | RateSeries) -> np.ndarray:
+    # a series built by `_on_days` holds its day numbers before `__post_init__`;
+    # any other (`dataclasses.replace` too) gets them from its dates
+    days = vars(series).get("_days")
+    return _day_numbers(series.dates) if days is None else days
 
 
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[list[str]]:
@@ -220,8 +253,8 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
 
 def _parse_text(
     path: str | Path, columns: Sequence[str], *, require_positive: bool
-) -> tuple[tuple[date, ...], np.ndarray] | None:
-    """Every check of `_check_rows`, made on the file's text; None if any fails.
+) -> tuple[tuple[date, ...], np.ndarray, np.ndarray] | None:
+    """Every check of `_check_rows`, made on the file's bytes; None if any fails.
 
     Takes a file only where `csv.reader` would split every line into the same
     two cells: the header line is exactly `columns`, and every other line is
@@ -229,23 +262,47 @@ def _parse_text(
     where the cell holds no comma, quote or line break and fits csv's field
     size limit.  `float` drops the padding `_to_float` strips, or fails;
     numpy parses the dates as `date.fromisoformat` does, except year 0.
+    Returns the dates, the values and the dates' day numbers.
     """
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            head, _, body = f.read().partition("\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    # re takes repeat counts below 2**32; a longer cell only sends the file per row
-    limit = min(csv.field_size_limit(), 2**31)
-    line = f'{_YYYY_MM_DD},[^,"\r\n]{{0,{limit}}}'
-    if head.removesuffix("\r") != ",".join(columns) or not re.fullmatch(
-        f"(?:{line}\r?\n)*(?:{line})?", body
+    head = data.partition(b"\n")[0]
+    if head.removesuffix(b"\r") != ",".join(columns).encode():
+        return None
+    # the header is ASCII, so the body starts at the same offset in the bytes and the text
+    body = np.frombuffer(data, np.uint8)[len(head) + 1 :]
+    # a line runs from its start to its LF, or to the end of an unended last line
+    ends = np.flatnonzero(body == _LF)
+    if body.size and body[-1] != _LF:
+        ends = np.append(ends, body.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+    width = _DATE.size  # the date's bytes; its comma follows
+    if np.any(ends - starts < width + 1):
+        return None
+    # the first bytes of each line, taken from a view that starts an `S10` item at every byte
+    fields = np.ndarray((max(body.size - width + 1, 0),), f"S{width}", body, strides=(1,))[starts]
+    field_bytes = fields.view(np.uint8).reshape(-1, width)
+    # a cell's length in bytes, never below its length in characters, which csv limits
+    cell_bytes = ends - starts - (width + 1) - (body[ends - 1] == _CR)
+    # each line is a date, the line's one comma and a cell, and a CR comes only before an LF
+    if (
+        np.any(field_bytes[:, _DATE_DIGITS] - ord("0") > 9)
+        or np.any(field_bytes[:, ~_DATE_DIGITS] != ord("-"))
+        or np.any(body[starts + width] != _COMMA)
+        or np.count_nonzero(body == _COMMA) != ends.size
+        or np.any(body == _QUOTE)
+        or np.any(body.take(np.flatnonzero(body == _CR) + 1, mode="clip") != _LF)
+        or np.any(cell_bytes > csv.field_size_limit())
     ):
         return None
-    cells = body.removesuffix("\n").replace("\n", ",").split(",") if body else []
+    cells = text[len(head) + 1 :].removesuffix("\n").replace("\n", ",").split(",")
     try:
-        days = np.array(cells[0::2], dtype="datetime64[D]")
-        values = np.fromiter(map(float, cells[1::2]), dtype=float, count=len(days))
+        days = fields.astype("datetime64[D]")
+        values = np.fromiter(map(float, cells[1::2]), dtype=float, count=days.size)
     except ValueError:
         return None
     ordinals = days.view(np.int64) + _UNIX_EPOCH_ORDINAL
@@ -256,7 +313,7 @@ def _parse_text(
         or (require_positive and np.any(values <= 0))
     ):
         return None
-    return tuple(days.tolist()), values
+    return tuple(days.tolist()), values, ordinals
 
 
 def _check_rows(
@@ -310,29 +367,31 @@ def _load_dated_values(
     columns: Sequence[str],
     *,
     require_positive: bool,
-) -> tuple[tuple[date, ...], np.ndarray]:
+) -> tuple[tuple[date, ...], np.ndarray, np.ndarray]:
+    """The dates, values and day numbers of a dated-value file, or the per-row error."""
     parsed = _parse_text(path, columns, require_positive=require_positive)
     if parsed is None:
-        return _check_rows(path, columns, _read_rows(path, columns), require_positive=require_positive)
+        dates, values = _check_rows(path, columns, _read_rows(path, columns), require_positive=require_positive)
+        return dates, values, _day_numbers(dates)
     return parsed
 
 
 def load_prices(path: str | Path) -> PriceSeries:
     """Load a two-column `date,close` CSV; the instrument id is the file stem."""
-    dates, closes = _load_dated_values(path, PRICE_COLUMNS, require_positive=True)
-    return PriceSeries(instrument_id=Path(path).stem, dates=dates, closes=closes)
+    dates, closes, days = _load_dated_values(path, PRICE_COLUMNS, require_positive=True)
+    return _on_days(PriceSeries, days, Path(path).stem, dates, closes)
 
 
 def load_fx(path: str | Path) -> RateSeries:
     """Load a `date,rate` CSV of USD per one local-currency unit."""
-    dates, values = _load_dated_values(path, FX_COLUMNS, require_positive=True)
-    return RateSeries(dates=dates, values=values)
+    dates, values, days = _load_dated_values(path, FX_COLUMNS, require_positive=True)
+    return _on_days(RateSeries, days, dates, values)
 
 
 def load_risk_free(path: str | Path) -> RateSeries:
     """Load a `date,annual_yield_pct` CSV.  Yields may be negative."""
-    dates, values = _load_dated_values(path, RISK_FREE_COLUMNS, require_positive=False)
-    return RateSeries(dates=dates, values=values)
+    dates, values, days = _load_dated_values(path, RISK_FREE_COLUMNS, require_positive=False)
+    return _on_days(RateSeries, days, dates, values)
 
 
 def write_prices(series: PriceSeries, path: str | Path) -> None:
@@ -349,24 +408,42 @@ def write_prices(series: PriceSeries, path: str | Path) -> None:
 
 
 def _shared_positions(day_numbers: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Positions, in each strictly increasing day-number array, of the days all share."""
-    common = reduce(partial(np.intersect1d, assume_unique=True), day_numbers)
-    return [np.searchsorted(days, common) for days in day_numbers]
+    """Positions, in each strictly increasing day-number array, of the days all share.
+
+    The shortest array's days are searched in each of the others: one binary
+    search per day, and a day is shared where every search lands on it.
+    """
+    shortest = min(range(len(day_numbers)), key=lambda k: day_numbers[k].size)
+    base = day_numbers[shortest]
+    shared = np.ones(base.size, dtype=bool)
+    found = []
+    for k, days in enumerate(day_numbers):
+        if k != shortest:
+            at = np.searchsorted(days, base)
+            # `base` is no longer than `days`, so `days` is empty only when `at` is
+            shared &= days.take(at, mode="clip") == base
+            found.append(at)
+    positions = [at[shared] for at in found]
+    positions.insert(shortest, np.flatnonzero(shared))
+    return positions
 
 
 def _fx_positions(series: PriceSeries, fx: RateSeries) -> tuple[np.ndarray, np.ndarray]:
     """Positions, in `series` and in the FX series (strictly increasing), of the dates both hold.
 
-    One binary search per series date, which costs less than `_shared_positions`'s
-    sort of both arrays (`validate` runs it for every firm).  Raises
-    EmptyIntersection, naming the series, if they share no date.
+    Raises EmptyIntersection, naming the series, if they share no date.
     """
-    at = np.searchsorted(fx._days, series._days)
-    # a series date is an FX date when the FX date at its insertion point equals it
-    keep = np.flatnonzero(fx._days.take(at, mode="clip") == series._days) if fx._days.size else at[:0]
+    keep, at = _shared_positions([series._days, fx._days])
     if keep.size == 0:
         raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")
-    return keep, at[keep]
+    return keep, at
+
+
+def _pick(dates: tuple[date, ...], positions: np.ndarray) -> tuple[date, ...]:
+    """The dates at `positions`, which must not be empty."""
+    picked = itemgetter(*positions.tolist())(dates)
+    # itemgetter of one position returns the item itself
+    return picked if positions.size > 1 else (picked,)
 
 
 def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
@@ -374,9 +451,8 @@ def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
     if np.any(np.diff(fx._days) <= 0):
         raise ValueError("FX dates must be strictly increasing")
     keep, at = _fx_positions(series, fx)
-    dates = tuple(map(series.dates.__getitem__, keep.tolist()))
     closes = series.closes[keep] * fx.values[at]
-    return replace(series, dates=dates, closes=closes)
+    return _on_days(PriceSeries, series._days[keep], series.instrument_id, _pick(series.dates, keep), closes)
 
 
 def align(series: Sequence[PriceSeries]) -> AlignedPanel:
@@ -391,9 +467,8 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     positions = _shared_positions([s._days for s in series])
     if positions[0].size == 0:
         raise EmptyIntersection("input series share no trading dates")
-    common_dates = tuple(map(series[0].dates.__getitem__, positions[0].tolist()))
     closes = tuple(s.closes[pos] for s, pos in zip(series, positions))
-    return AlignedPanel(common_dates=common_dates, closes=closes)
+    return AlignedPanel(common_dates=_pick(series[0].dates, positions[0]), closes=closes)
 
 
 def build_event_frame(panel: AlignedPanel, event_date: date) -> np.ndarray:

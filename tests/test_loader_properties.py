@@ -19,6 +19,7 @@ import io
 import math
 import sys
 from datetime import date, timedelta
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from crosslist.market_data import (
     _check_rows,
     _load_dated_values,
     _read_rows,
+    _shared_positions,
     align,
     convert_to_usd,
     load_fx,
@@ -225,7 +227,7 @@ def test_column_checks_match_row_checks(work, columns, positive):
     def check(rows, shape):
         _write_dated(path, columns, rows, shape)
         shapes.add(shape)
-        by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive))
+        by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive)[:2])
         by_row = _outcome(
             lambda: _check_rows(path, columns, _read_rows(path, columns), require_positive=positive)
         )
@@ -270,7 +272,7 @@ def test_text_check_takes_unpadded_files(work, monkeypatch, columns, positive):
     def check(rows, shape):
         _write_dated(path, columns, rows, shape)
         per_row.clear()
-        by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive))
+        by_column = _outcome(lambda: _load_dated_values(path, columns, require_positive=positive)[:2])
         by_row = _outcome(
             lambda: _check_rows(path, columns, _read_rows(path, columns), require_positive=positive)
         )
@@ -324,6 +326,20 @@ def test_align_and_convert_match_set_reference(calendars, fx_days):
         assert len(panel.closes) == len(want_closes)
         for got, closes in zip(panel.closes, want_closes):
             assert got.tolist() == closes.tolist()
+
+
+@PROPERTY
+@given(calendars=st.lists(calendar, min_size=1, max_size=4))
+def test_shared_positions_match_intersect1d(calendars):
+    arrays = [np.array(sorted(days), dtype=np.int64) for days in calendars]
+    # every rotation, so the shortest array takes every position
+    for turn in range(len(arrays)):
+        rotated = arrays[turn:] + arrays[:turn]
+        common = reduce(np.intersect1d, rotated)
+        positions = _shared_positions(rotated)
+        assert len(positions) == len(rotated)
+        for days, got in zip(rotated, positions):
+            assert got.tolist() == np.searchsorted(days, common).tolist()
 
 
 # positive finite doubles, with the subnormals and the ends of the date range drawn often

@@ -1,6 +1,7 @@
 """Manifest/price ingestion, alignment, and event-frame construction."""
 
 import csv
+import dataclasses
 import io
 from datetime import date, timedelta
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from crosslist import market_data
+from crosslist.cli import generate_bundle
 from crosslist.errors import (
     CrosslistError,
     DuplicateCode,
@@ -26,6 +28,7 @@ from crosslist.market_data import (
     PriceSeries,
     RateSeries,
     _check_rows,
+    _day_numbers,
     _read_rows,
     align,
     build_event_frame,
@@ -262,8 +265,26 @@ class TestLoadPrices:
             ("2006-01-03,\x1c1.5\n", None),
             # past csv's field size limit
             ("2006-01-03," + "0" * 200_000 + "1.5\n", MissingField),
+            # csv.reader ends the last row at a lone CR as at an LF
+            ("2006-01-03,1.5\r", None),
+            # csv.reader keeps a quote inside an unquoted cell
+            ('2006-01-03,1.5"\n', MissingField),
+            # an Arabic-Indic digit: both checks take ASCII digits only
+            ("2006-01-0\u0663,1.5\n", UnparsableDate),
+            # numpy reads this as the year 206
+            ("+206-01-03,1.5\n", UnparsableDate),
+            # a 10-character line, a date with no comma
+            ("2006-01-03\n", MissingField),
+            # three cells, where every other cell of a flat split leaves the third unread
+            ("2006-01-03,1.5,2\n", MissingField),
+            # six bytes, four characters: float drops the ideographic space
+            ("2006-01-03,1.5\u3000\n", None),
         ],
-        ids=["year-0000", "feb-30", "lone-cr", "comma-moved", "separator-pad", "long-cell"],
+        ids=[
+            "year-0000", "feb-30", "lone-cr", "comma-moved", "separator-pad", "long-cell",
+            "last-byte-cr", "quote-in-cell", "non-ascii-digit", "signed-year", "no-comma", "two-commas",
+            "multibyte-cell",
+        ],
     )
     def test_text_check_traps_match_row_checks(self, tmp_path, body, want):
         # each trap goes through load_prices and must end as the per-row checks do
@@ -464,3 +485,56 @@ class TestPriceSeriesInvariants:
         d = tuple(weekday_dates(date(2006, 1, 2), 2))
         with pytest.raises(NonPositivePrice):
             PriceSeries("x", d, np.array([1.0, 0.0]))
+
+
+class TestDayNumbers:
+    """A series holds its dates' day numbers however it was built, so none are stale."""
+
+    @staticmethod
+    def assert_days(series):
+        assert series._days.dtype == np.int64
+        assert series._days.tolist() == _day_numbers(series.dates).tolist()
+
+    @pytest.mark.parametrize(
+        "loader, column", [(load_prices, "close"), (load_fx, "rate"), (load_risk_free, "annual_yield_pct")]
+    )
+    @pytest.mark.parametrize("quoted", [False, True], ids=["text", "per-row"])
+    def test_loaders(self, tmp_path, monkeypatch, loader, column, quoted):
+        per_row = []
+        monkeypatch.setattr(
+            market_data, "_check_rows", lambda *args, **kwargs: per_row.append(1) or _check_rows(*args, **kwargs)
+        )
+        dates = tuple(weekday_dates(date(2006, 12, 27), 6))  # across a year end
+        cell = '"{}"' if quoted else "{}"  # csv.reader reads a quoted cell; the text check declines it
+        path = tmp_path / "series.csv"
+        path.write_text(
+            f"date,{column}\n" + "".join(f"{d.isoformat()},{cell.format(1.5 + i)}\n" for i, d in enumerate(dates)),
+            encoding="utf-8",
+        )
+        series = loader(path)
+        assert bool(per_row) == quoted
+        assert series.dates == dates
+        self.assert_days(series)
+
+    def test_convert_and_replace(self, tmp_path):
+        dates = weekday_dates(date(2007, 1, 8), 8)
+        path = tmp_path / "p.csv"
+        rows = "".join(f"{d.isoformat()},{i + 1}\n" for i, d in enumerate(dates))
+        path.write_text("date,close\n" + rows, encoding="utf-8")
+        series = load_prices(path)
+        fx = RateSeries(dates=tuple(dates[1::2]), values=np.full(4, 0.5))
+        usd = convert_to_usd(series, fx)
+        assert usd.dates == tuple(dates[1::2])
+        self.assert_days(usd)
+        # replace builds a new series from its fields, so the loader's day numbers do not carry over
+        for source in (series, usd):
+            moved = dataclasses.replace(source, dates=source.dates[1:], closes=source.closes[1:])
+            self.assert_days(moved)
+
+    def test_generate_bundle(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(market_data, "write_prices", lambda series, path: written.append(series))
+        generate_bundle(tmp_path, n_firms=3, n_days=300, effect=0.0, seed=41)
+        assert len(written) == 5
+        for series in written:
+            self.assert_days(series)
