@@ -18,13 +18,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import market_data
-from .errors import CrosslistError, MissingField, NonPositivePrice
+from .errors import CrosslistError, NonPositivePrice
 from .event_study import (
     EventStudyResult,
     EventWindows,
@@ -178,14 +177,6 @@ def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _require_rows(load, path: Path):
-    """`load(path)` (a price or rate series), or an error naming `path` if it has no rows."""
-    loaded = load(path)
-    if not loaded.dates:
-        raise MissingField(f"{path}: no rows after the header")
-    return loaded
-
-
 # --------------------------------------------------------------------------
 # validate
 # --------------------------------------------------------------------------
@@ -216,10 +207,8 @@ def cmd_validate(config: RunConfig) -> int:
         _say(f"{label}: {describe(loaded)}")
         return loaded
 
-    _load_prices = partial(_require_rows, market_data.load_prices)
-
     def _describe_prices(series: PriceSeries) -> str:
-        return f"{len(series)} rows, {series.dates[0].isoformat()}..{series.dates[-1].isoformat()}"
+        return f"{len(series)} rows, {series.dates[0]}..{series.dates[-1]}"
 
     def _describe_rates(rates) -> str:
         return f"{len(rates.dates)} rows"
@@ -235,7 +224,7 @@ def cmd_validate(config: RunConfig) -> int:
             _warn("warning: no instruments in manifest")
 
     indexes = [
-        _report(label, _attempt(path, _load_prices), _describe_prices)
+        _report(label, _attempt(path, market_data.load_prices), _describe_prices)
         for label, path in (("local_index", config.local_index_path), ("us_index", config.us_index_path))
         if path is not None
     ]
@@ -243,11 +232,11 @@ def cmd_validate(config: RunConfig) -> int:
     # loaded before the firms, so each firm is checked against its dates, and reported after them
     fx = None
     if config.fx_path is not None:
-        fx = _attempt(config.fx_path, partial(_require_rows, market_data.load_fx))
+        fx = _attempt(config.fx_path, market_data.load_fx)
 
     for rec in records or ():
         path = config.manifest_path.parent / rec.price_file
-        series = _report(f"prices[{rec.n_code}]", _attempt(path, _load_prices), _describe_prices)
+        series = _report(f"prices[{rec.n_code}]", _attempt(path, market_data.load_prices), _describe_prices)
         if series is not None and can_align:
             try:
                 panel = align([series] + indexes)
@@ -257,7 +246,7 @@ def cmd_validate(config: RunConfig) -> int:
                 _problem(f"alignment[{rec.n_code}]", exc)
         if series is not None and isinstance(fx, market_data.RateSeries):
             try:
-                market_data._fx_positions(series, fx)
+                market_data.convert_to_usd(series, fx)
             except CrosslistError as exc:
                 _problem(f"fx[{rec.n_code}]", exc)
 
@@ -268,7 +257,7 @@ def cmd_validate(config: RunConfig) -> int:
         ("us_risk_free", config.us_risk_free_path),
     ):
         if path is not None:
-            _report(label, _attempt(path, partial(_require_rows, market_data.load_risk_free)), _describe_rates)
+            _report(label, _attempt(path, market_data.load_risk_free), _describe_rates)
 
     if problems:
         _warn(f"validation failed: {problems} problem(s)")
@@ -282,13 +271,13 @@ def cmd_validate(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def _mean_annual_yield_as_period_rate(path: Path, period: str) -> float:
-    rates = _require_rows(market_data.load_risk_free, path)
+    rates = market_data.load_risk_free(path)
     return float(np.mean(rates.values)) / 100.0 / PERIODS_PER_YEAR[period]
 
 
 def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float | None) -> list:
     if rf is None:
-        raise ConfigError(f"class {label}: no risk-free series configured")
+        raise ConfigError("no risk-free series configured")
     panel = align([market_data.load_prices(prices_path), index])
     y, x = (np.diff(np.log(v)) for v in panel.closes)
     fit = ols_fit(y, [x])
@@ -326,7 +315,7 @@ def cmd_capm(config: RunConfig) -> int:
         if index_path is None:
             _warn(f"class {label} skipped: no index series configured")
             continue
-        index = _require_rows(market_data.load_prices, index_path)
+        index = market_data.load_prices(index_path)
         rf = None if rf_path is None else _mean_annual_yield_as_period_rate(rf_path, config.period)
         try:
             rows.append(_capm_class_row(label, prices_path, index, rf))
@@ -374,7 +363,7 @@ def _write_event_reports(out_dir: Path, result: EventStudyResult, windows: Event
     _write_csv(out_dir / "variance.csv", VARIANCE_CSV_HEADER, (
         [row.firm_id, "nan", "nan", "nan", "error"] if row.error is not None else [
             row.firm_id,
-            float(row.ratio),
+            float(row.f_result.ratio),
             float(row.f_result.ratio),
             float(row.f_result.p_value),
             bool(row.f_result.significant_5pct),
@@ -414,15 +403,15 @@ def cmd_event_study(config: RunConfig) -> int:
     if config.manifest_path is None or config.local_index_path is None or config.us_index_path is None:
         raise ConfigError("event-study needs manifest, local_index, and us_index configured")
     records = market_data.load_manifest(config.manifest_path)
-    local_prices = _require_rows(market_data.load_prices, config.local_index_path)
-    us_prices = _require_rows(market_data.load_prices, config.us_index_path)
-    fx = _require_rows(market_data.load_fx, config.fx_path) if config.fx_path else None
+    local_prices = market_data.load_prices(config.local_index_path)
+    us_prices = market_data.load_prices(config.us_index_path)
+    fx = market_data.load_fx(config.fx_path) if config.fx_path else None
     if not records:
         _warn("event-study failed: manifest has no instruments")
         return 1
 
     def load_firm(rec) -> PriceSeries:
-        return _require_rows(market_data.load_prices, config.manifest_path.parent / rec.price_file)
+        return market_data.load_prices(config.manifest_path.parent / rec.price_file)
 
     result = run_event_study(
         records, load_firm, local_prices, us_prices, fx, config.windows,
@@ -452,13 +441,6 @@ _INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Te
 MAX_SIM_DAYS = 2_085_535
 
 
-def _business_dates(n_days: int) -> tuple[tuple, np.ndarray]:
-    """The first `n_days` business days from 2006-01-02, as dates and as day numbers."""
-    grid = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
-    grid = grid.astype("datetime64[D]")
-    return tuple(grid.tolist()), grid.view(np.int64) + market_data._UNIX_EPOCH_ORDINAL
-
-
 def _prices_from_returns(first_close: float, returns: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow to inf fails PriceSeries's check instead
         return first_close * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
@@ -483,15 +465,14 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         raise ConfigError(f"effect must be finite, got {effect}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    dates, days = _business_dates(n_days)
+    # the first `n_days` business days from 2006-01-02, as `datetime64[D]`
+    dates = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
     n_returns = n_days - 1
 
     loc_ret = 0.0002 + 0.012 * rng.standard_normal(n_returns)
     us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
-    # every series is built on the grid's day numbers, so none maps `toordinal` over the dates
-    on_grid = partial(market_data._on_days, PriceSeries, days)
-    market_data.write_prices(on_grid("sse", dates, _prices_from_returns(100.0, loc_ret)), out_dir / "sse.csv")
-    market_data.write_prices(on_grid("nyse", dates, _prices_from_returns(100.0, us_ret)), out_dir / "nyse.csv")
+    market_data.write_prices(PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret)), out_dir / "sse.csv")
+    market_data.write_prices(PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret)), out_dir / "nyse.csv")
     loc_series = ReturnSeries("sse", dates[1:], loc_ret)
     us_series = ReturnSeries("nyse", dates[1:], us_ret)
 
@@ -523,7 +504,7 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         returns[event_idx - 1] += effect
         price_file = f"prices_{n_code}.csv"
         try:
-            firm = on_grid(n_code, dates, _prices_from_returns(50.0, returns))
+            firm = PriceSeries(n_code, dates, _prices_from_returns(50.0, returns))
         except NonPositivePrice:
             raise ConfigError(
                 f"firm {n_code}'s simulated closes leave the floating-point range "
@@ -536,8 +517,8 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
             n_code,
             _INDUSTRIES[i % len(_INDUSTRIES)],
             repr(float(rng.uniform(2e9, 2.4e11))),
-            dates[event_idx].isoformat(),
-            dates[0].isoformat(),
+            str(dates[event_idx]),
+            str(dates[0]),
             price_file,
         ])
 

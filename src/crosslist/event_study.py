@@ -127,7 +127,6 @@ class EventPanelResult:
 @dataclass(frozen=True)
 class VarianceRatioRow:
     firm_id: str
-    ratio: float | None
     f_result: FTestResult | None
     error: str | None = None
 
@@ -280,9 +279,9 @@ def variance_ratio_report(
             post = window_values(values, offsets, windows.post_var)
             result = variance_f_test(post, pre)
         except (DegenerateSample, WindowOutOfData) as exc:
-            rows.append(VarianceRatioRow(firm_id=firm_id, ratio=None, f_result=None, error=str(exc)))
+            rows.append(VarianceRatioRow(firm_id=firm_id, f_result=None, error=str(exc)))
             continue
-        rows.append(VarianceRatioRow(firm_id=firm_id, ratio=result.ratio, f_result=result))
+        rows.append(VarianceRatioRow(firm_id=firm_id, f_result=result))
     return VarianceRatioReport(rows=tuple(rows))
 
 

@@ -481,7 +481,7 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     if not (yv.shape[0] == loc.shape[0] == us.shape[0]):
         raise ValueError("y, local_index, and us_index must have equal length")
     if all(isinstance(s, ReturnSeries) for s in (y, local_index, us_index)):
-        if not (y.dates == local_index.dates == us_index.dates):
+        if not (np.array_equal(y.dates, local_index.dates) and np.array_equal(y.dates, us_index.dates)):
             raise ValueError("series dates are not aligned")
     n = yv.shape[0]
     if n < MIN_OBSERVATIONS:
@@ -670,8 +670,7 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSerie
     if isinstance(local_index, ReturnSeries):
         dates = local_index.dates
     else:
-        grid = np.busday_offset(np.datetime64("2001-01-01"), np.arange(T), roll="forward")
-        dates = tuple(grid.astype("datetime64[D]").tolist())
+        dates = np.busday_offset(np.datetime64("2001-01-01"), np.arange(T), roll="forward")
     return ReturnSeries(instrument_id=config.instrument_id, dates=dates, values=X @ beta + np.array(eps))
 
 

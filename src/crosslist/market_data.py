@@ -16,23 +16,19 @@ that names the first bad row, or load a valid file of another shape (quoted
 or decimal-comma cells, padded cells, blank lines, lone-CR line ends, a
 header in other case).
 
-Dates are compared and aligned as sorted int64 day numbers
-(`date.toordinal`).  Each series holds them as `_days`; the loaders,
-`convert_to_usd` and the simulator hand over the day numbers they already
-hold through `_on_days`, so only a series built from dates alone maps
-`toordinal` over them.  Alignment searches the shortest series' days in
-each of the others, one binary search per day.
+Each series holds its dates as one `datetime64[D]` array, which the
+loaders parse, and alignment, FX conversion, event frames and the writer
+use as they are.  Alignment searches the shortest series' dates in each of
+the others, one binary search per date.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -73,8 +69,8 @@ _YYYY_MM_DD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _DATE = np.frombuffer(b"0000-00-00", np.uint8)
 _DATE_DIGITS = _DATE == ord("0")
 _LF, _CR, _COMMA, _QUOTE = b'\n\r,"'
-# date(1970, 1, 1).toordinal(): day numbers minus this are numpy's datetime64[D]
-_UNIX_EPOCH_ORDINAL = 719163
+# the first and last dates `datetime.date` holds, so `.tolist()` of a series' dates gives `date`s
+_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 
 
 @dataclass(frozen=True)
@@ -93,26 +89,29 @@ class InstrumentRecord:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Strictly increasing dated closes for one instrument or index."""
+    """Strictly increasing dated closes for one instrument or index.
+
+    `dates` is a `datetime64[D]` array; any sequence of dates given is converted.
+    """
 
     instrument_id: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     closes: np.ndarray
-    # `dates` as day numbers, for alignment and FX conversion: computed here,
-    # or handed over by `_on_days` from a caller that already holds them
-    _days: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        dates = np.asarray(self.dates, dtype="datetime64[D]")
         closes = np.asarray(self.closes, dtype=float)
+        object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "closes", closes)
-        if len(self.dates) != closes.shape[0]:
+        if len(dates) != closes.shape[0]:
             raise ValueError("dates and closes must have equal length")
         if np.any(~np.isfinite(closes)) or np.any(closes <= 0.0):
             raise NonPositivePrice(f"{self.instrument_id}: closes must be finite and > 0")
-        days = _known_days(self)
-        if np.any(np.diff(days) <= 0):
+        # a NaT fails both checks: every comparison with it is false
+        if not np.all(np.diff(dates) > 0):
             raise ValueError(f"{self.instrument_id}: dates must be strictly increasing")
-        object.__setattr__(self, "_days", days)
+        if dates.size and not (_FIRST_DAY <= dates[0] and dates[-1] <= _LAST_DAY):
+            raise ValueError(f"{self.instrument_id}: dates must lie in years 1 to 9999")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -123,26 +122,29 @@ class RateSeries:
     """Dated scalar rates (FX conversion rates or annual yields in percent).
 
     The loaders produce strictly increasing dates; `convert_to_usd` requires them.
+    `dates` is a `datetime64[D]` array, as in `PriceSeries`.
     """
 
-    dates: tuple[date, ...]
+    dates: np.ndarray
     values: np.ndarray
-    # `dates` as day numbers, for FX conversion, as in `PriceSeries`
-    _days: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_days", _known_days(self))
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
 
 
 @dataclass(frozen=True)
 class AlignedPanel:
     """Closes for several series restricted to their common trading dates.
 
-    `closes` holds one array per input series, in the order given to `align`.
+    `common_dates` is a `datetime64[D]` array; `closes` holds one array per
+    input series, in the order given to `align`.
     """
 
-    common_dates: tuple[date, ...]
+    common_dates: np.ndarray
     closes: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "common_dates", np.asarray(self.common_dates, dtype="datetime64[D]"))
 
 
 def _to_float(text: str) -> float:
@@ -157,29 +159,6 @@ def _to_date(text: str) -> date:
     if not re.fullmatch(_YYYY_MM_DD, t):
         raise ValueError(f"{t!r} is not a YYYY-MM-DD date")
     return date.fromisoformat(t)
-
-
-def _day_numbers(dates: Sequence[date]) -> np.ndarray:
-    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
-
-
-def _on_days(cls, days: np.ndarray, *fields):
-    """`cls(*fields)`, a `PriceSeries` or `RateSeries`, given the day numbers of its dates.
-
-    The one way to skip the `toordinal` pass over dates whose day numbers
-    the caller already holds; the series' own checks all still run.
-    """
-    series = object.__new__(cls)
-    object.__setattr__(series, "_days", days)
-    series.__init__(*fields)
-    return series
-
-
-def _known_days(series: PriceSeries | RateSeries) -> np.ndarray:
-    # a series built by `_on_days` holds its day numbers before `__post_init__`;
-    # any other (`dataclasses.replace` too) gets them from its dates
-    days = vars(series).get("_days")
-    return _day_numbers(series.dates) if days is None else days
 
 
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[list[str]]:
@@ -253,7 +232,7 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
 
 def _parse_text(
     path: str | Path, columns: Sequence[str], *, require_positive: bool
-) -> tuple[tuple[date, ...], np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Every check of `_check_rows`, made on the file's bytes; None if any fails.
 
     Takes a file only where `csv.reader` would split every line into the same
@@ -262,7 +241,8 @@ def _parse_text(
     where the cell holds no comma, quote or line break and fits csv's field
     size limit.  `float` drops the padding `_to_float` strips, or fails;
     numpy parses the dates as `date.fromisoformat` does, except year 0.
-    Returns the dates, the values and the dates' day numbers.
+    Declines an empty body, which `_check_rows` names.  Returns the dates
+    (`datetime64[D]`) and the values.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -281,7 +261,7 @@ def _parse_text(
         ends = np.append(ends, body.size)
     starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
     width = _DATE.size  # the date's bytes; its comma follows
-    if np.any(ends - starts < width + 1):
+    if not ends.size or np.any(ends - starts < width + 1):
         return None
     # the first bytes of each line, taken from a view that starts an `S10` item at every byte
     fields = np.ndarray((max(body.size - width + 1, 0),), f"S{width}", body, strides=(1,))[starts]
@@ -301,19 +281,18 @@ def _parse_text(
         return None
     cells = text[len(head) + 1 :].removesuffix("\n").replace("\n", ",").split(",")
     try:
-        days = fields.astype("datetime64[D]")
-        values = np.fromiter(map(float, cells[1::2]), dtype=float, count=days.size)
+        dates = fields.astype("datetime64[D]")
+        values = np.fromiter(map(float, cells[1::2]), dtype=float, count=dates.size)
     except ValueError:
         return None
-    ordinals = days.view(np.int64) + _UNIX_EPOCH_ORDINAL
     if (
-        np.any(ordinals[:1] < 1)
-        or np.any(np.diff(ordinals) <= 0)
+        dates[0] < _FIRST_DAY
+        or np.any(np.diff(dates) <= 0)
         or not np.all(np.isfinite(values))
         or (require_positive and np.any(values <= 0))
     ):
         return None
-    return tuple(days.tolist()), values, ordinals
+    return dates, values
 
 
 def _check_rows(
@@ -322,12 +301,14 @@ def _check_rows(
     rows: list[list[str]],
     *,
     require_positive: bool,
-) -> tuple[tuple[date, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The per-row checks: raise the error naming the first bad row, else return.
 
     Loading runs them only on a file that `_parse_text` does not take;
     the tests use them as the reference that the text checks must match.
     """
+    if not rows:
+        raise MissingField(f"{path}: no rows after the header")
     dates: list[date] = []
     values: list[float] = []
     for i, row in enumerate(rows, start=1):
@@ -359,7 +340,7 @@ def _check_rows(
         raise MissingField(
             f"{path}: row {i + 1}: {columns[1]} {rows[i][1]!r} is not a finite number"
         )
-    return tuple(dates), array
+    return np.array(dates, dtype="datetime64[D]"), array
 
 
 def _load_dated_values(
@@ -367,92 +348,76 @@ def _load_dated_values(
     columns: Sequence[str],
     *,
     require_positive: bool,
-) -> tuple[tuple[date, ...], np.ndarray, np.ndarray]:
-    """The dates, values and day numbers of a dated-value file, or the per-row error."""
-    parsed = _parse_text(path, columns, require_positive=require_positive)
-    if parsed is None:
-        dates, values = _check_rows(path, columns, _read_rows(path, columns), require_positive=require_positive)
-        return dates, values, _day_numbers(dates)
-    return parsed
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dates and values of a dated-value file, or the per-row error.
+
+    A file with no rows after its header is an error, so every series loaded has a date.
+    """
+    return _parse_text(path, columns, require_positive=require_positive) or _check_rows(
+        path, columns, _read_rows(path, columns), require_positive=require_positive
+    )
 
 
 def load_prices(path: str | Path) -> PriceSeries:
     """Load a two-column `date,close` CSV; the instrument id is the file stem."""
-    dates, closes, days = _load_dated_values(path, PRICE_COLUMNS, require_positive=True)
-    return _on_days(PriceSeries, days, Path(path).stem, dates, closes)
+    return PriceSeries(Path(path).stem, *_load_dated_values(path, PRICE_COLUMNS, require_positive=True))
 
 
 def load_fx(path: str | Path) -> RateSeries:
     """Load a `date,rate` CSV of USD per one local-currency unit."""
-    dates, values, days = _load_dated_values(path, FX_COLUMNS, require_positive=True)
-    return _on_days(RateSeries, days, dates, values)
+    return RateSeries(*_load_dated_values(path, FX_COLUMNS, require_positive=True))
 
 
 def load_risk_free(path: str | Path) -> RateSeries:
     """Load a `date,annual_yield_pct` CSV.  Yields may be negative."""
-    dates, values, days = _load_dated_values(path, RISK_FREE_COLUMNS, require_positive=False)
-    return _on_days(RateSeries, days, dates, values)
+    return RateSeries(*_load_dated_values(path, RISK_FREE_COLUMNS, require_positive=False))
 
 
 def write_prices(series: PriceSeries, path: str | Path) -> None:
     """Write a PriceSeries in the `date,close` format at full float precision.
 
     repr() round-trips doubles exactly, so load_prices(write_prices(s)) == s.
-    numpy formats the day numbers as `date.isoformat` does, for years 1-9999.
+    numpy formats the dates as `date.isoformat` does, for years 1-9999.
     """
-    days = np.datetime_as_string((series._days - _UNIX_EPOCH_ORDINAL).view("datetime64[D]"))
+    days = np.datetime_as_string(series.dates)
     lines = [f"{d},{c!r}\n" for d, c in zip(days.tolist(), series.closes.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(PRICE_COLUMNS) + "\n")
         f.write("".join(lines))
 
 
-def _shared_positions(day_numbers: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Positions, in each strictly increasing day-number array, of the days all share.
+def _shared_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Positions, in each strictly increasing array (of dates), of the items all share.
 
-    The shortest array's days are searched in each of the others: one binary
-    search per day, and a day is shared where every search lands on it.
+    The shortest array's items are searched in each of the others: one binary
+    search per item, and an item is shared where every search lands on it.
     """
-    shortest = min(range(len(day_numbers)), key=lambda k: day_numbers[k].size)
-    base = day_numbers[shortest]
+    shortest = min(range(len(arrays)), key=lambda k: arrays[k].size)
+    base = arrays[shortest]
     shared = np.ones(base.size, dtype=bool)
     found = []
-    for k, days in enumerate(day_numbers):
+    for k, other in enumerate(arrays):
         if k != shortest:
-            at = np.searchsorted(days, base)
-            # `base` is no longer than `days`, so `days` is empty only when `at` is
-            shared &= days.take(at, mode="clip") == base
+            at = np.searchsorted(other, base)
+            # `base` is no longer than `other`, so `other` is empty only when `at` is
+            shared &= other.take(at, mode="clip") == base
             found.append(at)
     positions = [at[shared] for at in found]
     positions.insert(shortest, np.flatnonzero(shared))
     return positions
 
 
-def _fx_positions(series: PriceSeries, fx: RateSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Positions, in `series` and in the FX series (strictly increasing), of the dates both hold.
+def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
+    """Multiply closes by the same-date FX rate, restricted to dates with a rate.
 
-    Raises EmptyIntersection, naming the series, if they share no date.
+    Raises EmptyIntersection, naming the series, if it shares no date with the FX series.
     """
-    keep, at = _shared_positions([series._days, fx._days])
+    if not np.all(np.diff(fx.dates) > 0):
+        raise ValueError("FX dates must be strictly increasing")
+    keep, at = _shared_positions([series.dates, fx.dates])
     if keep.size == 0:
         raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")
-    return keep, at
-
-
-def _pick(dates: tuple[date, ...], positions: np.ndarray) -> tuple[date, ...]:
-    """The dates at `positions`, which must not be empty."""
-    picked = itemgetter(*positions.tolist())(dates)
-    # itemgetter of one position returns the item itself
-    return picked if positions.size > 1 else (picked,)
-
-
-def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
-    """Multiply closes by the same-date FX rate, restricted to dates with a rate."""
-    if np.any(np.diff(fx._days) <= 0):
-        raise ValueError("FX dates must be strictly increasing")
-    keep, at = _fx_positions(series, fx)
-    closes = series.closes[keep] * fx.values[at]
-    return _on_days(PriceSeries, series._days[keep], series.instrument_id, _pick(series.dates, keep), closes)
+    return PriceSeries(series.instrument_id, series.dates[keep], series.closes[keep] * fx.values[at])
 
 
 def align(series: Sequence[PriceSeries]) -> AlignedPanel:
@@ -464,11 +429,11 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     """
     if not series:
         raise ValueError("align requires at least one series")
-    positions = _shared_positions([s._days for s in series])
+    positions = _shared_positions([s.dates for s in series])
     if positions[0].size == 0:
         raise EmptyIntersection("input series share no trading dates")
     closes = tuple(s.closes[pos] for s, pos in zip(series, positions))
-    return AlignedPanel(common_dates=_pick(series[0].dates, positions[0]), closes=closes)
+    return AlignedPanel(common_dates=series[0].dates[positions[0]], closes=closes)
 
 
 def build_event_frame(panel: AlignedPanel, event_date: date) -> np.ndarray:
@@ -478,8 +443,7 @@ def build_event_frame(panel: AlignedPanel, event_date: date) -> np.ndarray:
     first panel date after it (listings on non-trading days roll forward).
     """
     dates = panel.common_dates
-    if event_date > dates[-1]:
-        raise EventAfterPanelEnd(
-            f"event date {event_date.isoformat()} is after the last panel date {dates[-1].isoformat()}"
-        )
-    return np.arange(len(dates), dtype=np.int64) - bisect.bisect_left(dates, event_date)
+    day = np.datetime64(event_date, "D")
+    if day > dates[-1]:
+        raise EventAfterPanelEnd(f"event date {day} is after the last panel date {dates[-1]}")
+    return np.arange(dates.size, dtype=np.int64) - np.searchsorted(dates, day)

@@ -7,7 +7,6 @@ degrees of freedom of the two-sample F-test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 from scipy.special import fdtr, fdtrc
@@ -18,14 +17,18 @@ from .market_data import PriceSeries
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Dated per-period log returns for one instrument or index."""
+    """Dated per-period log returns for one instrument or index.
+
+    `dates` is a `datetime64[D]` array; any sequence of dates given is converted.
+    """
 
     instrument_id: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
         object.__setattr__(self, "values", values)
         if len(self.dates) != values.shape[0]:
             raise ValueError("dates and values must have equal length")

@@ -95,22 +95,23 @@ def align_reference(series):
     Returns the common dates and each series' closes on them, in input
     order; the dates are empty when the series share none.
     """
-    common = set(series[0].dates)
+    common = set(series[0].dates.tolist())
     for s in series[1:]:
-        common &= set(s.dates)
+        common &= set(s.dates.tolist())
     common_dates = tuple(sorted(common))
     closes = []
     for s in series:
-        pos = {d: i for i, d in enumerate(s.dates)}
+        pos = {d: i for i, d in enumerate(s.dates.tolist())}
         closes.append(s.closes[[pos[d] for d in common_dates]])
     return common_dates, closes
 
 
 def convert_to_usd_reference(series, fx):
     """FX conversion by a date-to-rate dict: the kept dates and the USD closes."""
-    rates = dict(zip(fx.dates, fx.values.tolist()))
-    keep = [i for i, d in enumerate(series.dates) if d in rates]
-    dates = tuple(series.dates[i] for i in keep)
+    rates = dict(zip(fx.dates.tolist(), fx.values.tolist()))
+    dated = series.dates.tolist()
+    keep = [i for i, d in enumerate(dated) if d in rates]
+    dates = tuple(dated[i] for i in keep)
     return dates, series.closes[keep] * np.array([rates[d] for d in dates])
 
 
@@ -119,7 +120,7 @@ def write_prices_reference(series) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PRICE_COLUMNS)
-    writer.writerows([d.isoformat(), repr(c)] for d, c in zip(series.dates, series.closes.tolist()))
+    writer.writerows([d.isoformat(), repr(c)] for d, c in zip(series.dates.tolist(), series.closes.tolist()))
     return out.getvalue().encode("utf-8")
 
 

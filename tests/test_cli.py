@@ -18,6 +18,7 @@ from crosslist.event_study import EventWindows, study_firm
 from crosslist.garch import GarchSpec, fit_garch_market_model
 from crosslist.linear_models import diagnostics_report, ols_fit
 from crosslist.market_data import (
+    MANIFEST_COLUMNS,
     PriceSeries,
     align,
     build_event_frame,
@@ -248,6 +249,22 @@ class TestValidate:
             assert f"error: fx[{code}]: prices_{code}: no dates shared with the FX series" in err
         assert err[-1] == "validation failed: 2 problem(s)"
 
+    def test_price_line_dates_below_year_1000(self, tmp_path, capsys):
+        (tmp_path / "manifest.csv").write_text(
+            ",".join(MANIFEST_COLUMNS) + "\nFirm,600001,N1,Energy,1e9,2006-01-02,2006-01-02,p.csv\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "p.csv").write_text(
+            "date,close\n0999-12-30,1.5\n0999-12-31,1.5\n1000-01-02,1.5\n", encoding="utf-8"
+        )
+        (tmp_path / "run.ini").write_text("[data]\nmanifest = manifest.csv\n", encoding="utf-8")
+        assert main(["validate", "--config", str(tmp_path / "run.ini")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "manifest: 1 instruments\nprices[N1]: 3 rows, 0999-12-30..1000-01-02\nvalidation ok\n"
+        )
+        assert captured.err == ""
+
 
 class TestCapm:
     def _write_bundle(self, tmp_path, stock_closes, index_closes):
@@ -330,6 +347,30 @@ class TestCapm:
         assert "class N skipped" in capsys.readouterr().err
         rows = read_csv(tmp_path / "out" / "capm.csv")
         assert [r["class"] for r in rows] == ["A"]
+
+    def test_header_only_class_file_skips_the_class_naming_the_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        closes = np.concatenate([[100.0], 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, 120)))])
+        config = self._write_bundle(tmp_path, closes, closes)
+        (tmp_path / "n_stock.csv").write_text("date,close\n", encoding="utf-8")
+        text = config.read_text(encoding="utf-8").replace("[capm]\n", "[capm]\nn_prices = n_stock.csv\n")
+        text = text.replace("[data]\n", "[data]\nus_index = index.csv\nus_risk_free = rf.csv\n")
+        config.write_text(text, encoding="utf-8")
+        assert main(["capm", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == f"class N skipped: {tmp_path / 'n_stock.csv'}: no rows after the header\n"
+        assert [r["class"] for r in read_csv(tmp_path / "out" / "capm.csv")] == ["A"]
+
+    def test_class_without_risk_free_is_named_once(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        closes = np.concatenate([[100.0], 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, 120)))])
+        config = self._write_bundle(tmp_path, closes, closes)
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("local_risk_free = rf.csv\n", ""), encoding="utf-8"
+        )
+        assert main(["capm", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "class A skipped: no risk-free series configured\ncapm failed: every class was skipped\n"
+        )
 
 
 class TestEventStudy:

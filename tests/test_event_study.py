@@ -303,7 +303,7 @@ class TestVarianceRatioReport:
         values[offsets >= 15] = rng.normal(0, 0.02 * np.sqrt(2.0), (offsets >= 15).sum())
         report = variance_ratio_report({"X": (values, offsets)}, windows)
         row = report.rows[0]
-        assert row.ratio == pytest.approx(2.0, abs=0.9)
+        assert row.f_result.ratio == pytest.approx(2.0, abs=0.9)
         assert row.f_result.significant_5pct
 
     def test_ratio_is_post_over_pre(self):
@@ -314,7 +314,7 @@ class TestVarianceRatioReport:
         report = variance_ratio_report({"X": (values, offsets)}, windows)
         pre = values[(offsets >= -105) & (offsets <= -15)]
         post = values[(offsets >= 15) & (offsets <= 105)]
-        assert report.rows[0].ratio == pytest.approx(
+        assert report.rows[0].f_result.ratio == pytest.approx(
             post.var(ddof=1) / pre.var(ddof=1), rel=1e-12
         )
 
@@ -328,7 +328,7 @@ class TestVarianceRatioReport:
         by_id = {row.firm_id: row for row in report.rows}
         assert by_id["OK"].error is None
         assert by_id["FLAT"].error is not None
-        assert by_id["FLAT"].ratio is None
+        assert by_id["FLAT"].f_result is None
         assert len(report.rows) == 2
 
 

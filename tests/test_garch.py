@@ -293,7 +293,7 @@ class TestSimulateGarch:
         a = simulate_garch(sim_config(500, seed=33), loc, us)
         b = simulate_garch(sim_config(500, seed=33), loc, us)
         assert a.values.tolist() == b.values.tolist()
-        assert a.dates == b.dates
+        assert a.dates.tolist() == b.dates.tolist()
 
     # T = 20 outputs of the numpy-scalar recursion this simulator replaced;
     # the Python-float recursion runs the same operations, so they match exactly

@@ -28,7 +28,6 @@ from crosslist.market_data import (
     PriceSeries,
     RateSeries,
     _check_rows,
-    _day_numbers,
     _read_rows,
     align,
     build_event_frame,
@@ -39,6 +38,7 @@ from crosslist.market_data import (
     load_risk_free,
     write_prices,
 )
+from crosslist.stats_core import ReturnSeries
 
 MANIFEST_HEADER = "name,a_code,n_code,industry,market_cap_usd,us_listing_date,local_listing_date,price_file"
 
@@ -207,7 +207,7 @@ class TestLoadPrices:
         loaded = load_prices(path)
         assert len(loaded) == n
         assert loaded.dates[0] == min(dates)
-        assert loaded.dates == series.dates
+        assert loaded.dates.tolist() == series.dates.tolist()
         assert loaded.closes.tolist() == series.closes.tolist()  # exact round trip
 
 
@@ -234,7 +234,7 @@ class TestLoadPrices:
         write_prices(series, path)
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
         loaded = load_prices(path)
-        assert loaded.dates == dates
+        assert loaded.dates.tolist() == list(dates)
         assert loaded.closes.tolist() == closes
 
     def test_nan_close_names_first_bad_row(self, tmp_path):
@@ -296,7 +296,7 @@ class TestLoadPrices:
                 dates, closes = load()
             except CrosslistError as exc:
                 return type(exc), str(exc)
-            return dates, closes.tolist()
+            return dates.tolist(), closes.tolist()
 
         by_row = outcome(
             lambda: _check_rows(path, PRICE_COLUMNS, _read_rows(path, PRICE_COLUMNS), require_positive=True)
@@ -304,7 +304,7 @@ class TestLoadPrices:
         if want:
             assert by_row[0] is want
         else:
-            assert by_row == ((date(2006, 1, 3),), [1.5])
+            assert by_row == ([date(2006, 1, 3)], [1.5])
 
         def load():
             series = load_prices(path)
@@ -326,7 +326,7 @@ class TestLoadPrices:
         (tmp_path / "crlf.csv").write_bytes((tmp_path / "lf.csv").read_bytes().replace(b"\n", b"\r\n"))
         for name in ("lf", "crlf"):
             loaded = load_prices(tmp_path / f"{name}.csv")
-            assert loaded.dates == dates and loaded.closes.tolist() == series.closes.tolist()
+            assert loaded.dates.tolist() == list(dates) and loaded.closes.tolist() == series.closes.tolist()
         assert calls == []
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
@@ -341,7 +341,7 @@ class TestRateLoaders:
         path = tmp_path / "fx.csv"
         path.write_text("date,rate\n2007-01-08,0.128\n2007-01-09,0.129\n", encoding="utf-8")
         fx = load_fx(path)
-        assert fx.values[fx.dates.index(date(2007, 1, 9))] == pytest.approx(0.129)
+        assert fx.values[fx.dates.tolist().index(date(2007, 1, 9))] == pytest.approx(0.129)
 
     def test_risk_free_allows_negative(self, tmp_path):
         path = tmp_path / "rf.csv"
@@ -388,7 +388,7 @@ class TestAlign:
         a = PriceSeries("a", dates, np.arange(1.0, 6.0))
         b = PriceSeries("b", dates, np.arange(2.0, 7.0))
         panel = align([a, b])
-        assert panel.common_dates == dates
+        assert panel.common_dates.tolist() == list(dates)
         assert panel.closes[1].tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_holiday_mismatch(self):
@@ -401,7 +401,7 @@ class TestAlign:
         b = PriceSeries("b", tuple(dates_b), np.full(240, 4.0))
         panel = align([a, b])
         assert len(panel.common_dates) == 240
-        assert set(panel.common_dates) == set(dates_a) & set(dates_b)
+        assert set(panel.common_dates.tolist()) == set(dates_a) & set(dates_b)
 
     def test_disjoint_ranges(self):
         a = PriceSeries("a", tuple(weekday_dates(date(2006, 1, 2), 5)), np.ones(5))
@@ -419,7 +419,7 @@ class TestAlign:
         twice = align(
             [PriceSeries(s.instrument_id, once.common_dates, v) for s, v in zip((a, b), once.closes)]
         )
-        assert twice.common_dates == once.common_dates
+        assert twice.common_dates.tolist() == once.common_dates.tolist()
         for t, o in zip(twice.closes, once.closes, strict=True):
             assert t.tolist() == o.tolist()
 
@@ -429,7 +429,7 @@ class TestAlign:
         a = PriceSeries("index", dates, np.arange(1.0, 7.0))
         b = PriceSeries("index", dates[1:], np.arange(11.0, 16.0))
         panel = align([a, b, a])
-        assert panel.common_dates == dates[1:]
+        assert panel.common_dates.tolist() == list(dates[1:])
         assert [c.tolist() for c in panel.closes] == [
             [2.0, 3.0, 4.0, 5.0, 6.0],
             [11.0, 12.0, 13.0, 14.0, 15.0],
@@ -456,7 +456,7 @@ class TestEventFrame:
         saturday = date(2006, 1, 14)
         assert saturday.weekday() == 5
         offsets = build_event_frame(panel, saturday)
-        assert offsets[panel.common_dates.index(date(2006, 1, 16))] == 0
+        assert offsets[panel.common_dates.tolist().index(date(2006, 1, 16))] == 0
 
     def test_211_day_panel_covers_symmetric_window(self):
         panel, dates = self._panel(211)
@@ -467,6 +467,13 @@ class TestEventFrame:
         panel, dates = self._panel(10)
         with pytest.raises(EventAfterPanelEnd):
             build_event_frame(panel, dates[-1] + timedelta(days=10))
+
+    def test_event_after_panel_end_message(self):
+        # numpy formats both dates, as `date.isoformat` does, below the year 1000 too
+        panel = align([PriceSeries("x", (date(998, 3, 2), date(999, 12, 31)), np.ones(2))])
+        with pytest.raises(EventAfterPanelEnd) as caught:
+            build_event_frame(panel, date(1000, 1, 3))
+        assert str(caught.value) == "event date 1000-01-03 is after the last panel date 0999-12-31"
 
     def test_offsets_are_consecutive(self):
         panel, dates = self._panel(37)
@@ -481,6 +488,17 @@ class TestPriceSeriesInvariants:
         with pytest.raises(ValueError):
             PriceSeries("x", (d[0], d[2], d[1]), np.ones(3))
 
+    @pytest.mark.parametrize(
+        "day", [np.datetime64("0001-01-01") - 1, np.datetime64("9999-12-31") + 1, np.datetime64("NaT")],
+        ids=["year-0", "year-10000", "nat"],
+    )
+    def test_dates_a_date_cannot_hold_rejected(self, day):
+        # `.tolist()` of a series' dates gives `date`s, and the writer's dates load again
+        with pytest.raises(ValueError):
+            PriceSeries("x", np.array([day], dtype="datetime64[D]"), np.ones(1))
+        with pytest.raises(ValueError):
+            PriceSeries("x", np.array([np.datetime64("2006-01-02"), day], dtype="datetime64[D]"), np.ones(2))
+
     def test_nonpositive_close_rejected(self):
         d = tuple(weekday_dates(date(2006, 1, 2), 2))
         with pytest.raises(NonPositivePrice):
@@ -488,12 +506,15 @@ class TestPriceSeriesInvariants:
 
 
 class TestDayNumbers:
-    """A series holds its dates' day numbers however it was built, so none are stale."""
+    """A series' dates are one `datetime64[D]` array, numpy's day numbers, however it is built.
+
+    Each test checks them against the dates the series was given, or its file's.
+    """
 
     @staticmethod
-    def assert_days(series):
-        assert series._days.dtype == np.int64
-        assert series._days.tolist() == _day_numbers(series.dates).tolist()
+    def assert_dates(dates, want):
+        assert isinstance(dates, np.ndarray) and dates.dtype == np.dtype("datetime64[D]")
+        assert dates.tolist() == list(want)
 
     @pytest.mark.parametrize(
         "loader, column", [(load_prices, "close"), (load_fx, "rate"), (load_risk_free, "annual_yield_pct")]
@@ -504,7 +525,7 @@ class TestDayNumbers:
         monkeypatch.setattr(
             market_data, "_check_rows", lambda *args, **kwargs: per_row.append(1) or _check_rows(*args, **kwargs)
         )
-        dates = tuple(weekday_dates(date(2006, 12, 27), 6))  # across a year end
+        dates = weekday_dates(date(2006, 12, 27), 6)  # across a year end
         cell = '"{}"' if quoted else "{}"  # csv.reader reads a quoted cell; the text check declines it
         path = tmp_path / "series.csv"
         path.write_text(
@@ -513,8 +534,7 @@ class TestDayNumbers:
         )
         series = loader(path)
         assert bool(per_row) == quoted
-        assert series.dates == dates
-        self.assert_days(series)
+        self.assert_dates(series.dates, dates)
 
     def test_convert_and_replace(self, tmp_path):
         dates = weekday_dates(date(2007, 1, 8), 8)
@@ -523,18 +543,33 @@ class TestDayNumbers:
         path.write_text("date,close\n" + rows, encoding="utf-8")
         series = load_prices(path)
         fx = RateSeries(dates=tuple(dates[1::2]), values=np.full(4, 0.5))
+        self.assert_dates(fx.dates, dates[1::2])
         usd = convert_to_usd(series, fx)
-        assert usd.dates == tuple(dates[1::2])
-        self.assert_days(usd)
-        # replace builds a new series from its fields, so the loader's day numbers do not carry over
+        self.assert_dates(usd.dates, dates[1::2])
         for source in (series, usd):
-            moved = dataclasses.replace(source, dates=source.dates[1:], closes=source.closes[1:])
-            self.assert_days(moved)
+            moved = dataclasses.replace(source, dates=tuple(source.dates.tolist()[1:]), closes=source.closes[1:])
+            self.assert_dates(moved.dates, source.dates.tolist()[1:])
+
+    def test_align(self, tmp_path):
+        dates = weekday_dates(date(2007, 1, 8), 8)
+        path = tmp_path / "p.csv"
+        path.write_text("date,close\n" + "".join(f"{d.isoformat()},1.5\n" for d in dates), encoding="utf-8")
+        other = PriceSeries("other", tuple(dates[1::2]), np.ones(4))
+        self.assert_dates(align([load_prices(path), other]).common_dates, dates[1::2])
+
+    def test_tuple_of_dates(self):
+        dates = (date(999, 12, 30), date(999, 12, 31), date(1000, 1, 1))
+        self.assert_dates(PriceSeries("x", dates, np.ones(3)).dates, dates)
+        self.assert_dates(RateSeries(dates, np.ones(3)).dates, dates)
+        self.assert_dates(ReturnSeries("x", dates, np.ones(3)).dates, dates)
 
     def test_generate_bundle(self, tmp_path, monkeypatch):
         written = []
-        monkeypatch.setattr(market_data, "write_prices", lambda series, path: written.append(series))
+        write = market_data.write_prices
+        monkeypatch.setattr(
+            market_data, "write_prices", lambda series, path: written.append((series, path)) or write(series, path)
+        )
         generate_bundle(tmp_path, n_firms=3, n_days=300, effect=0.0, seed=41)
         assert len(written) == 5
-        for series in written:
-            self.assert_days(series)
+        for series, path in written:
+            self.assert_dates(series.dates, load_prices(path).dates.tolist())

@@ -41,7 +41,7 @@ class TestLogReturns:
     def test_dated_by_later_observation(self):
         prices = price_series([100.0, 101.0, 102.0])
         out = log_returns(prices)
-        assert out.dates == prices.dates[1:]
+        assert out.dates.tolist() == prices.dates[1:].tolist()
 
     def test_telescoping_identity(self):
         rng = np.random.default_rng(11)
