@@ -476,7 +476,7 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
     loc_series = ReturnSeries("sse", dates[1:], loc_ret)
     us_series = ReturnSeries("nyse", dates[1:], us_ret)
 
-    lo = min(max(106, 1), n_days - 1)
+    lo = min(106, n_days - 1)
     hi = max(n_days - 106, lo)
     manifest_rows = []
     for i in range(n_firms):

@@ -644,27 +644,22 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSerie
 
     rng = np.random.default_rng(config.seed)
     # the recursion runs on Python floats: the same IEEE operations as on
-    # numpy scalars, at a fraction of the per-operation cost.  The lag lists
-    # start with the pre-sample values, so lag j of the day just appended is
-    # e2[~j]; each e ** 2 is formed once (not e * e, which can round differently)
+    # numpy scalars, at a fraction of the per-operation cost.  The two lags of
+    # e ** 2 and of h roll through four variables, pre-sample values first;
+    # the coefficients are zero-padded to two lags, and each padded term adds
+    # an exact +0.0.  Each e ** 2 is formed once (not e * e, which can round
+    # differently)
     z = rng.standard_normal(T).tolist()
-    alpha_lags = list(enumerate(alphas.tolist()))
-    gamma_lags = list(enumerate(gammas.tolist()))
-    uncond = float(uncond)
-    e2 = [uncond] * q
-    h = [uncond] * p
+    a1, a2 = alphas.tolist() + [0.0] * (MAX_VARIANCE_LAGS - q)
+    g1, g2 = gammas.tolist() + [0.0] * (MAX_VARIANCE_LAGS - p)
+    ht = e2_1 = e2_2 = h_1 = h_2 = float(uncond)  # ht equals alpha0 when q + p == 0
     eps = []
-    ht = uncond  # equals alpha0 when q + p == 0
     for zt in z:
         e = math.sqrt(ht) * zt
         eps.append(e)
-        e2.append(e ** 2)
-        h.append(ht)
-        ht = alpha0
-        for j, a in alpha_lags:
-            ht += a * e2[~j]
-        for k, g in gamma_lags:
-            ht += g * h[~k]
+        e2_1, e2_2 = e ** 2, e2_1
+        h_1, h_2 = ht, h_1
+        ht = alpha0 + a1 * e2_1 + a2 * e2_2 + g1 * h_1 + g2 * h_2
 
     X = np.column_stack([np.ones(T), loc, us])
     if isinstance(local_index, ReturnSeries):

@@ -29,6 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -373,17 +374,29 @@ def load_risk_free(path: str | Path) -> RateSeries:
     return RateSeries(*_load_dated_values(path, RISK_FREE_COLUMNS, require_positive=False))
 
 
+@lru_cache(maxsize=1)
+def _date_prefixes(day_bytes: bytes) -> list[str]:
+    """`YYYY-MM-DD,` for each day of a `datetime64[D]` buffer, for the writer.
+
+    Keyed on the dates' bytes, not the array, so a bundle's files share one
+    formatted column and an array changed in place is formatted again.
+    """
+    days = np.datetime_as_string(np.frombuffer(day_bytes, dtype="datetime64[D]"))
+    return [d + "," for d in days.tolist()]
+
+
 def write_prices(series: PriceSeries, path: str | Path) -> None:
     """Write a PriceSeries in the `date,close` format at full float precision.
 
-    repr() round-trips doubles exactly, so load_prices(write_prices(s)) == s.
-    numpy formats the dates as `date.isoformat` does, for years 1-9999.
+    repr() round-trips doubles exactly, so `load_prices` of the file gives
+    back the series' dates and closes, equal element for element.  numpy
+    formats the dates as `date.isoformat` does, for years 1-9999.
     """
-    days = np.datetime_as_string(series.dates)
-    lines = [f"{d},{c!r}\n" for d, c in zip(days.tolist(), series.closes.tolist())]
+    prefixes = _date_prefixes(series.dates.tobytes())
+    body = "".join([f"{d}{c!r}\n" for d, c in zip(prefixes, series.closes.tolist())])
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(PRICE_COLUMNS) + "\n")
-        f.write("".join(lines))
+        f.write(body)
 
 
 def _shared_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -81,6 +81,20 @@ class TestSimulate:
         assert len(price_files) == 12  # 10 firms + 2 indexes
         assert (out / "manifest.csv").exists()
 
+    def test_generate_bundle_pinned_digests(self, tmp_path):
+        # the simulator's and the writer's bytes, pinned across commits; a
+        # change that moves any of them must say so and re-pin
+        generate_bundle(tmp_path, 3, 300, 0.0, 41)
+        assert file_hashes(tmp_path) == {
+            "manifest.csv": "455abe7cd8e8a94eea8b929bdeb6eb85e4c00fabdb197627008e5ba0393f8caf",
+            "nyse.csv": "dad081c4c10ec2f1c365ecc16f451c64ecb2b900ab76030918787038be6fa61c",
+            "prices_F00.csv": "a63558fc48771d9be45d50aedc5d62c8febc4833e827311603ebece39525ce7d",
+            "prices_F01.csv": "6a91239508f6ab13ddcd73e4ce6d82db0efb5aa19cff2e48fb40a3093b9387f8",
+            "prices_F02.csv": "558c74e525ec7743cf2f6c73eb0c0f729e7836d7f338e8b04a71626aadc0c131",
+            "run.ini": "fbd21fe5b3855d8af6f4e490995c9be6514a402f4ec3e9a12fc2895afcb22e10",
+            "sse.csv": "0e69a5f1518a03d93ace12ae9d3d878cc23b293f02b35b69fbd60eda857dddd8",
+        }
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a plain file, not a directory", encoding="utf-8")

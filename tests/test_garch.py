@@ -336,6 +336,16 @@ class TestSimulateGarch:
             expected = simulate_garch_values_reference(config, loc, us)
             assert simulate_garch(config, loc, us).values.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("p,q", [(0, 2), (2, 0)])
+    def test_matches_branching_loop_one_sided(self, p, q):
+        # two lags on one side and none on the other: both sides run on padded zeros
+        alphas, gammas = ((0.07, 0.05), ()) if q else ((), (0.5, 0.3))
+        for seed in range(40, 45):
+            loc, us = make_indexes(np.random.default_rng(seed), 4999)
+            config = sim_config(4999, seed=seed, alphas=alphas, gammas=gammas)
+            expected = simulate_garch_values_reference(config, loc, us)
+            assert simulate_garch(config, loc, us).values.tolist() == expected.tolist()
+
     def test_non_stationary_rejected(self):
         with pytest.raises(NonStationaryParameters):
             sim_config(100, seed=1, alphas=(0.3,), gammas=(0.7,))

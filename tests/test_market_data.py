@@ -40,6 +40,8 @@ from crosslist.market_data import (
 )
 from crosslist.stats_core import ReturnSeries
 
+from .support import write_prices_reference
+
 MANIFEST_HEADER = "name,a_code,n_code,industry,market_cap_usd,us_listing_date,local_listing_date,price_file"
 
 # the ten-firm reference manifest (caps in USD)
@@ -334,6 +336,52 @@ class TestLoadPrices:
         path.write_bytes(b"date,close\n2007-01-08,1\n2007-01-09,\xff2\n")
         with pytest.raises(UndecodableFile, match="p.csv"):
             load_prices(path)
+
+
+class TestWritePrices:
+    def written(self, tmp_path, series, name="p.csv"):
+        path = tmp_path / name
+        write_prices(series, path)
+        return path.read_bytes()
+
+    def test_round_trip_equal_element_for_element(self, tmp_path):
+        rng = np.random.default_rng(17)
+        dates = np.sort(rng.choice(np.arange("1999-01-01", "2019-01-01", dtype="datetime64[D]"), 500, replace=False))
+        series = PriceSeries("rt", dates, np.exp(rng.normal(0.0, 3.0, 500)))
+        write_prices(series, tmp_path / "rt.csv")
+        loaded = load_prices(tmp_path / "rt.csv")
+        assert np.array_equal(loaded.dates, series.dates)
+        assert np.array_equal(loaded.closes, series.closes)
+
+    # the writer formats a date column once and reuses it while the dates'
+    # bytes stay the same; no file may carry another series' dates
+    def test_same_length_different_dates_alternately(self, tmp_path):
+        days = weekday_dates(date(2006, 1, 2), 41)
+        a = PriceSeries("a", tuple(days[:40]), np.linspace(1.0, 2.0, 40))
+        b = PriceSeries("b", tuple(days[:20] + days[21:]), np.linspace(1.0, 2.0, 40))
+        for k, series in enumerate([a, b, a, b, b, a]):
+            assert self.written(tmp_path, series, f"{k}.csv") == write_prices_reference(series)
+
+    def test_dates_changed_in_place(self, tmp_path):
+        series = PriceSeries("m", tuple(weekday_dates(date(2006, 1, 2), 30)), np.full(30, 3.5))
+        assert self.written(tmp_path, series) == write_prices_reference(series)
+        series.dates[-1] += np.timedelta64(7, "D")
+        assert self.written(tmp_path, series) == write_prices_reference(series)
+
+    def test_empty_series(self, tmp_path):
+        full = PriceSeries("f", tuple(weekday_dates(date(2006, 1, 2), 5)), np.ones(5))
+        empty = PriceSeries("e", np.empty(0, dtype="datetime64[D]"), np.empty(0))
+        for series in (full, empty, full, empty):
+            assert self.written(tmp_path, series) == write_prices_reference(series)
+        assert self.written(tmp_path, empty) == b"date,close\n"
+
+    def test_long_column_then_short(self, tmp_path):
+        dates = tuple(weekday_dates(date(2006, 1, 2), 5000))
+        long = PriceSeries("l", dates, np.full(5000, 2.25))
+        short = PriceSeries("s", dates[:3], np.full(3, 2.25))
+        tail = PriceSeries("t", dates[-3:], np.full(3, 2.25))
+        for series in (long, short, long, tail):
+            assert self.written(tmp_path, series) == write_prices_reference(series)
 
 
 class TestRateLoaders:
