@@ -39,7 +39,6 @@ from .linear_models import (
     ols_fit,
 )
 from .market_data import PriceSeries, align
-from .stats_core import ReturnSeries
 
 # Move everything that exists once numpy and scipy are imported into the
 # permanent generation, so the collections run as the interpreter exits skip
@@ -473,8 +472,6 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
     us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
     market_data.write_prices(PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret)), out_dir / "sse.csv")
     market_data.write_prices(PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret)), out_dir / "nyse.csv")
-    loc_series = ReturnSeries("sse", dates[1:], loc_ret)
-    us_series = ReturnSeries("nyse", dates[1:], us_ret)
 
     lo = min(106, n_days - 1)
     hi = max(n_days - 106, lo)
@@ -497,8 +494,8 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
                 seed=int(rng.integers(0, 2**63)),
                 instrument_id=n_code,
             ),
-            loc_series,
-            us_series,
+            loc_ret,
+            us_ret,
         )
         returns = sim.values.copy()
         returns[event_idx - 1] += effect

@@ -39,6 +39,10 @@ class UnsortedInputAfterParse(CrosslistError):
     """Rows parsed cleanly but their dates are not in ascending order."""
 
 
+class InvalidSeries(CrosslistError, ValueError):
+    """A dated series breaks the contract every series keeps (lengths, date order, finite values)."""
+
+
 class EmptyIntersection(CrosslistError):
     """No trading date is shared by every input series."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
@@ -40,6 +40,7 @@ from .errors import (
     DuplicateDate,
     EmptyIntersection,
     EventAfterPanelEnd,
+    InvalidSeries,
     MissingField,
     NonPositiveMarketCap,
     NonPositivePrice,
@@ -88,64 +89,89 @@ class InstrumentRecord:
     price_file: str
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """Strictly increasing dated closes for one instrument or index.
+def _dated_arrays(label: str, dates, *values) -> list[np.ndarray]:
+    """Read-only views, copying nothing, of a series' `datetime64[D]` dates and float values.
 
-    `dates` is a `datetime64[D]` array; any sequence of dates given is converted.
+    Raises InvalidSeries, naming `label`, unless the values are 1-D and as long as the dates,
+    the dates strictly increase within years 1 to 9999 (a NaT fails), and every value is finite.
     """
+    arrays = [np.asarray(dates, dtype="datetime64[D]").view(), *(np.asarray(v, dtype=float).view() for v in values)]
+    for array in arrays:
+        array.flags.writeable = False  # on the view: an array the caller passed stays writable
+    dates, *values = arrays
+    if dates.ndim != 1 or any(v.shape != dates.shape for v in values):
+        raise InvalidSeries(f"{label}: dates and values must be 1-D arrays of equal length")
+    if not np.all(np.diff(dates) > 0):
+        raise InvalidSeries(f"{label}: dates must be strictly increasing")
+    if dates.size and not (_FIRST_DAY <= dates[0] and dates[-1] <= _LAST_DAY):
+        raise InvalidSeries(f"{label}: dates must lie in years 1 to 9999")
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise InvalidSeries(f"{label}: values must be finite")
+    return arrays
+
+
+class _DatedSeries:
+    """An optional `instrument_id` naming the series in errors, dates (`_DATES`), then values.
+
+    Dates are held as a read-only `datetime64[D]` array, values as read-only float arrays.  Series
+    of one type are equal when `np.array_equal` holds on every field; none is hashable.
+    """
+
+    _DATES = "dates"
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self) if f.name != "instrument_id"]
+        label = getattr(self, "instrument_id", type(self).__name__)
+        vars(self).update(zip(names, _dated_arrays(label, *(getattr(self, n) for n in names))))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._DATES))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(np.array_equal(v, vars(other)[k]) for k, v in vars(self).items())
+
+
+@dataclass(frozen=True, eq=False)
+class PriceSeries(_DatedSeries):
+    """Strictly increasing dated closes (> 0) for one instrument or index."""
 
     instrument_id: str
     dates: np.ndarray
     closes: np.ndarray
 
     def __post_init__(self) -> None:
-        dates = np.asarray(self.dates, dtype="datetime64[D]")
         closes = np.asarray(self.closes, dtype=float)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "closes", closes)
-        if len(dates) != closes.shape[0]:
-            raise ValueError("dates and closes must have equal length")
+        # before the shared checks, so that an inf close is a NonPositivePrice too
         if np.any(~np.isfinite(closes)) or np.any(closes <= 0.0):
             raise NonPositivePrice(f"{self.instrument_id}: closes must be finite and > 0")
-        # a NaT fails both checks: every comparison with it is false
-        if not np.all(np.diff(dates) > 0):
-            raise ValueError(f"{self.instrument_id}: dates must be strictly increasing")
-        if dates.size and not (_FIRST_DAY <= dates[0] and dates[-1] <= _LAST_DAY):
-            raise ValueError(f"{self.instrument_id}: dates must lie in years 1 to 9999")
-
-    def __len__(self) -> int:
-        return len(self.dates)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class RateSeries:
+@dataclass(frozen=True, eq=False)
+class RateSeries(_DatedSeries):
     """Dated scalar rates (FX conversion rates or annual yields in percent).
 
-    The loaders produce strictly increasing dates; `convert_to_usd` requires them.
-    `dates` is a `datetime64[D]` array, as in `PriceSeries`.
+    Rates may have any sign, as yields may; `load_fx` requires positive FX rates.
     """
 
     dates: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
 
-
-@dataclass(frozen=True)
-class AlignedPanel:
+@dataclass(frozen=True, eq=False)
+class AlignedPanel(_DatedSeries):
     """Closes for several series restricted to their common trading dates.
 
-    `common_dates` is a `datetime64[D]` array; `closes` holds one array per
-    input series, in the order given to `align`.
+    `closes` holds one array per input series, in the order given to `align`.
     """
 
+    _DATES = "common_dates"
     common_dates: np.ndarray
     closes: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "common_dates", np.asarray(self.common_dates, dtype="datetime64[D]"))
+        dates, *closes = _dated_arrays("AlignedPanel", self.common_dates, *self.closes)
+        vars(self).update(common_dates=dates, closes=tuple(closes))
 
 
 def _to_float(text: str) -> float:
@@ -388,8 +414,8 @@ def _date_prefixes(day_bytes: bytes) -> list[str]:
 def write_prices(series: PriceSeries, path: str | Path) -> None:
     """Write a PriceSeries in the `date,close` format at full float precision.
 
-    repr() round-trips doubles exactly, so `load_prices` of the file gives
-    back the series' dates and closes, equal element for element.  numpy
+    repr() round-trips doubles exactly, so `load_prices` of a file named
+    `<instrument_id>.csv` gives back a series `==` to this one.  numpy
     formats the dates as `date.isoformat` does, for years 1-9999.
     """
     prefixes = _date_prefixes(series.dates.tobytes())
@@ -425,8 +451,6 @@ def convert_to_usd(series: PriceSeries, fx: RateSeries) -> PriceSeries:
 
     Raises EmptyIntersection, naming the series, if it shares no date with the FX series.
     """
-    if not np.all(np.diff(fx.dates) > 0):
-        raise ValueError("FX dates must be strictly increasing")
     keep, at = _shared_positions([series.dates, fx.dates])
     if keep.size == 0:
         raise EmptyIntersection(f"{series.instrument_id}: no dates shared with the FX series")

@@ -12,31 +12,16 @@ import numpy as np
 from scipy.special import fdtr, fdtrc
 
 from .errors import DegenerateSample, SeriesTooShort
-from .market_data import PriceSeries
+from .market_data import PriceSeries, _DatedSeries
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Dated per-period log returns for one instrument or index.
-
-    `dates` is a `datetime64[D]` array; any sequence of dates given is converted.
-    """
+@dataclass(frozen=True, eq=False)
+class ReturnSeries(_DatedSeries):
+    """Dated per-period log returns for one instrument or index."""
 
     instrument_id: str
     dates: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
-        object.__setattr__(self, "values", values)
-        if len(self.dates) != values.shape[0]:
-            raise ValueError("dates and values must have equal length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{self.instrument_id}: returns must be finite")
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from crosslist.errors import (
     DuplicateDate,
     EmptyIntersection,
     EventAfterPanelEnd,
+    InvalidSeries,
     MissingField,
     NonPositiveMarketCap,
     NonPositivePrice,
@@ -25,6 +26,7 @@ from crosslist.errors import (
 )
 from crosslist.market_data import (
     PRICE_COLUMNS,
+    AlignedPanel,
     PriceSeries,
     RateSeries,
     _check_rows,
@@ -363,9 +365,11 @@ class TestWritePrices:
             assert self.written(tmp_path, series, f"{k}.csv") == write_prices_reference(series)
 
     def test_dates_changed_in_place(self, tmp_path):
-        series = PriceSeries("m", tuple(weekday_dates(date(2006, 1, 2), 30)), np.full(30, 3.5))
+        # the series' dates are a read-only view of the caller's array, which the caller may still change
+        days = np.array(weekday_dates(date(2006, 1, 2), 30), dtype="datetime64[D]")
+        series = PriceSeries("m", days, np.full(30, 3.5))
         assert self.written(tmp_path, series) == write_prices_reference(series)
-        series.dates[-1] += np.timedelta64(7, "D")
+        days[-1] += np.timedelta64(7, "D")
         assert self.written(tmp_path, series) == write_prices_reference(series)
 
     def test_empty_series(self, tmp_path):
@@ -423,11 +427,10 @@ class TestRateLoaders:
         assert len(converted.dates) == 2
 
     def test_convert_to_usd_rejects_unsorted_fx(self):
+        # an unsorted FX series cannot be built, so `convert_to_usd` never sees one
         dates = tuple(weekday_dates(date(2007, 1, 8), 3))
-        series = PriceSeries("x", dates, np.array([10.0, 20.0, 30.0]))
-        fx = RateSeries(dates=dates[::-1], values=np.array([0.5, 0.25, 0.125]))
-        with pytest.raises(ValueError, match="FX dates must be strictly increasing"):
-            convert_to_usd(series, fx)
+        with pytest.raises(InvalidSeries, match="dates must be strictly increasing"):
+            RateSeries(dates=dates[::-1], values=np.array([0.5, 0.25, 0.125]))
 
 
 class TestAlign:
@@ -551,6 +554,119 @@ class TestPriceSeriesInvariants:
         d = tuple(weekday_dates(date(2006, 1, 2), 2))
         with pytest.raises(NonPositivePrice):
             PriceSeries("x", d, np.array([1.0, 0.0]))
+
+
+_DAYS = np.array(weekday_dates(date(2006, 1, 2), 4), dtype="datetime64[D]")
+
+
+def _one_of_each(days=_DAYS, values=(1.0, 2.0, 3.0, 4.0), instrument_id="x"):
+    """A series of each of the four dated types, built from fresh copies of `days` and `values`."""
+    days, values = np.array(days, dtype="datetime64[D]"), np.array(values, dtype=float)
+    return [
+        PriceSeries(instrument_id, days.copy(), values.copy()),
+        RateSeries(days.copy(), values.copy()),
+        ReturnSeries(instrument_id, days.copy(), values.copy()),
+        AlignedPanel(days.copy(), (values.copy(), 2.0 * values)),
+    ]
+
+
+class TestSeriesContract:
+    """One contract for `PriceSeries`, `RateSeries`, `ReturnSeries` and `AlignedPanel`."""
+
+    @pytest.mark.parametrize(
+        "dates, values, message",
+        [
+            (_DAYS[[0, 2, 1, 3]], np.ones(4), "dates must be strictly increasing"),
+            (_DAYS[[0, 1, 1, 2]], np.ones(4), "dates must be strictly increasing"),
+            (np.append(_DAYS[:3], np.datetime64("NaT")), np.ones(4), "dates must be strictly increasing"),
+            (np.array(["NaT"], dtype="datetime64[D]"), np.ones(1), "dates must lie in years 1 to 9999"),
+            (
+                np.array(["2006-01-02", "10000-01-01"], dtype="datetime64[D]"),
+                np.ones(2),
+                "dates must lie in years 1 to 9999",
+            ),
+            (_DAYS, np.ones(3), "dates and values must be 1-D arrays of equal length"),
+            (_DAYS, np.array([1.0, np.nan, 1.0, 1.0]), "values must be finite"),
+            (_DAYS, np.array([1.0, 1.0, np.inf, 1.0]), "values must be finite"),
+            (_DAYS, np.ones((4, 1)), "dates and values must be 1-D arrays of equal length"),
+        ],
+        ids=["unsorted", "repeated", "nat", "lone-nat", "year-10000", "length", "nan", "inf", "2-d"],
+    )
+    def test_bad_rate_series_raises_at_construction(self, dates, values, message):
+        with pytest.raises(InvalidSeries, match=f"^RateSeries: {message}$"):
+            RateSeries(dates, values)
+
+    def test_invalid_series_is_an_input_error_and_a_value_error(self):
+        assert issubclass(InvalidSeries, CrosslistError) and issubclass(InvalidSeries, ValueError)
+
+    def test_rate_values_as_a_list_are_converted(self):
+        rates = RateSeries(_DAYS.tolist(), [0.5, -0.25, 1, 2])
+        assert rates.values.dtype == np.float64 and rates.values.tolist() == [0.5, -0.25, 1.0, 2.0]
+        assert len(rates) == 4
+
+    def test_positivity_is_a_rule_of_prices_only(self):
+        # checked before the shared rules, so an inf or NaN close is a NonPositivePrice too
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(NonPositivePrice, match="x: closes must be finite and > 0"):
+                PriceSeries("x", _DAYS, [1.0, 1.0, bad, 1.0])
+        signed = [-1.0, 0.0, 1.0, 2.0]
+        assert RateSeries(_DAYS, signed).values.tolist() == signed
+        assert ReturnSeries("x", _DAYS, signed).values.tolist() == signed
+
+    def test_write_prices_round_trip_is_equal(self, tmp_path):
+        rng = np.random.default_rng(5)
+        series = PriceSeries("rt", _DAYS, np.exp(rng.normal(0.0, 3.0, 4)))
+        write_prices(series, tmp_path / "rt.csv")
+        assert load_prices(tmp_path / "rt.csv") == series
+
+    def test_distinct_equal_objects_are_equal(self):
+        for a, b in zip(_one_of_each(), _one_of_each(), strict=True):
+            assert a is not b and a == b and not a != b
+            assert len(a) == len(b) == 4
+
+    def test_a_changed_field_is_unequal(self):
+        series = _one_of_each()
+        later, other = _one_of_each(days=_DAYS + np.timedelta64(1, "D")), _one_of_each(values=(1.0, 2.0, 3.0, 5.0))
+        for changed in (later, other):
+            for a, b in zip(series, changed, strict=True):
+                assert a != b and not a == b
+        price, _, ret, _ = _one_of_each(instrument_id="y")
+        assert price != series[0] and ret != series[2]
+
+    def test_other_types_are_unequal(self):
+        series = _one_of_each()
+        for i, a in enumerate(series):
+            for j, b in enumerate(series):
+                assert (a == b) == (i == j)
+        assert series[0] != (series[0].instrument_id, series[0].dates, series[0].closes)
+        assert AlignedPanel(_DAYS, (np.ones(4),)) != AlignedPanel(_DAYS, (np.ones(4), np.ones(4)))
+
+    def test_not_hashable(self):
+        for series in _one_of_each():
+            with pytest.raises(TypeError):
+                hash(series)
+
+    def test_arrays_are_read_only_views_of_the_callers(self):
+        closes = np.ones(4)
+        p = PriceSeries("x", _DAYS, closes)
+        with pytest.raises(ValueError):
+            p.closes[0] = -5.0
+        closes[0] = 2.0  # the caller's own array stays writable, and the series shares it
+        assert p.closes[0] == 2.0 and np.shares_memory(p.closes, closes)
+        price, rate, ret, panel = _one_of_each()
+        arrays = [price.dates, price.closes, rate.dates, rate.values, ret.dates, ret.values, panel.common_dates]
+        assert not any(a.flags.writeable for a in arrays + list(panel.closes))
+
+    def test_replace_checks_again(self):
+        price, rate, ret, panel = _one_of_each()
+        with pytest.raises(NonPositivePrice):
+            dataclasses.replace(price, closes=-price.closes)
+        with pytest.raises(InvalidSeries, match="RateSeries: values must be finite"):
+            dataclasses.replace(rate, values=np.full(4, np.nan))
+        with pytest.raises(InvalidSeries, match="x: dates must be strictly increasing"):
+            dataclasses.replace(ret, dates=ret.dates[::-1])
+        with pytest.raises(InvalidSeries, match="AlignedPanel: dates and values must be 1-D arrays of equal"):
+            dataclasses.replace(panel, closes=(*panel.closes, np.ones(3)))
 
 
 class TestDayNumbers:
