@@ -38,7 +38,7 @@ from .linear_models import (
     durbin_watson,
     ols_fit,
 )
-from .market_data import PriceSeries, align
+from .market_data import InstrumentRecord, PriceSeries, align
 
 # Move everything that exists once numpy and scipy are imported into the
 # permanent generation, so the collections run as the interpreter exits skip
@@ -445,14 +445,14 @@ def _prices_from_returns(first_close: float, returns: np.ndarray) -> np.ndarray:
         return first_close * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
 
 
-def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, seed: int) -> None:
-    """Write a synthetic manifest + index and firm price CSVs under out_dir.
+def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
+    """A synthetic bundle in memory, as `(records, local_index, us_index, prices)`.
 
     Firms follow the two-index market model with GARCH(1,1) errors; `effect`
-    is added to each firm's return on its listing day.  Byte-identical for
-    a fixed seed.  Bad settings raise ConfigError before anything is
-    written, except closes that leave the floating-point range, which are
-    found only when the firm is simulated.
+    is added to each firm's return on its listing day.  `prices(record)`
+    simulates that firm's closes, the same on every call, from a seed drawn
+    here.  Bad settings raise ConfigError; a firm whose closes leave the
+    floating-point range raises it only when `prices` is called for it.
     """
     if n_firms < 1:
         raise ConfigError(f"need at least 1 firm, got {n_firms}")
@@ -462,7 +462,6 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if not math.isfinite(effect):
         raise ConfigError(f"effect must be finite, got {effect}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     # the first `n_days` business days from 2006-01-02, as `datetime64[D]`
     dates = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
@@ -470,75 +469,72 @@ def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, see
 
     loc_ret = 0.0002 + 0.012 * rng.standard_normal(n_returns)
     us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
-    market_data.write_prices(PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret)), out_dir / "sse.csv")
-    market_data.write_prices(PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret)), out_dir / "nyse.csv")
+    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret))
+    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret))
 
+    # each firm simulates from its own seed, so drawing every firm's settings
+    # first leaves the bundle generator's sequence as one loop would draw it
     lo = min(106, n_days - 1)
     hi = max(n_days - 106, lo)
-    manifest_rows = []
+    records = []
+    firms = {}
     for i in range(n_firms):
         n_code = f"F{i:02d}"
         beta = (float(rng.normal(0.0, 2e-4)), float(rng.uniform(0.4, 1.2)), float(rng.uniform(0.1, 0.6)))
         sigma = float(rng.uniform(0.012, 0.025))
         alpha1, gamma1 = 0.08, 0.85
-        alpha0 = sigma**2 * (1.0 - alpha1 - gamma1)
         event_idx = int(rng.integers(lo, hi + 1))
-        sim = simulate_garch(
-            GarchSimConfig(
-                spec=GarchSpec(1, 1),
-                true_mean_coefficients=beta,
-                true_alpha0=alpha0,
-                true_alphas=(alpha1,),
-                true_gammas=(gamma1,),
-                length=n_returns,
-                seed=int(rng.integers(0, 2**63)),
-                instrument_id=n_code,
-            ),
-            loc_ret,
-            us_ret,
+        firms[n_code] = event_idx, GarchSimConfig(
+            spec=GarchSpec(1, 1),
+            true_mean_coefficients=beta,
+            true_alpha0=sigma**2 * (1.0 - alpha1 - gamma1),
+            true_alphas=(alpha1,),
+            true_gammas=(gamma1,),
+            length=n_returns,
+            seed=int(rng.integers(0, 2**63)),
+            instrument_id=n_code,
         )
-        returns = sim.values.copy()
+        # the manifest's columns, in order
+        records.append(InstrumentRecord(
+            f"Firm {i:02d}", str(600100 + i), n_code, _INDUSTRIES[i % len(_INDUSTRIES)],
+            float(rng.uniform(2e9, 2.4e11)), dates[event_idx].item(), dates[0].item(), f"prices_{n_code}.csv",
+        ))
+
+    def prices(rec: InstrumentRecord) -> PriceSeries:
+        event_idx, sim_config = firms[rec.n_code]
+        returns = simulate_garch(sim_config, loc_ret, us_ret).values.copy()
         returns[event_idx - 1] += effect
-        price_file = f"prices_{n_code}.csv"
         try:
-            firm = PriceSeries(n_code, dates, _prices_from_returns(50.0, returns))
+            return PriceSeries(rec.n_code, dates, _prices_from_returns(50.0, returns))
         except NonPositivePrice:
             raise ConfigError(
-                f"firm {n_code}'s simulated closes leave the floating-point range "
+                f"firm {rec.n_code}'s simulated closes leave the floating-point range "
                 f"(effect = {effect!r}, days = {n_days})"
             ) from None
-        market_data.write_prices(firm, out_dir / price_file)
-        manifest_rows.append([
-            f"Firm {i:02d}",
-            str(600100 + i),
-            n_code,
-            _INDUSTRIES[i % len(_INDUSTRIES)],
-            repr(float(rng.uniform(2e9, 2.4e11))),
-            str(dates[event_idx]),
-            str(dates[0]),
-            price_file,
-        ])
 
-    with open(out_dir / "manifest.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(market_data.MANIFEST_COLUMNS)
-        writer.writerows(manifest_rows)
+    return records, local_index, us_index, prices
 
-    run_ini = (
-        "[data]\n"
-        "manifest = manifest.csv\n"
-        "local_index = sse.csv\n"
-        "us_index = nyse.csv\n"
-        "\n"
-        "[garch]\n"
-        "max_p = 1\n"
-        "max_q = 1\n"
-        "\n"
-        "[run]\n"
-        f"seed = {seed}\n"
-        "output_dir = reports\n"
+
+def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, seed: int) -> None:
+    """Write `simulate_bundle`'s indexes, firm prices, manifest and run.ini under out_dir.
+
+    Byte-identical for a fixed seed.  Bad settings raise ConfigError before
+    anything is written; closes that leave the floating-point range, only
+    when that firm is reached, after the files before it are written.
+    """
+    records, local_index, us_index, prices = simulate_bundle(n_firms, n_days, effect, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    market_data.write_prices(local_index, out_dir / "sse.csv")
+    market_data.write_prices(us_index, out_dir / "nyse.csv")
+    for rec in records:
+        market_data.write_prices(prices(rec), out_dir / rec.price_file)
+    market_data.write_manifest(records, out_dir / "manifest.csv")
+    (out_dir / "run.ini").write_text(
+        "[data]\nmanifest = manifest.csv\nlocal_index = sse.csv\nus_index = nyse.csv\n\n"
+        "[garch]\nmax_p = 1\nmax_q = 1\n\n"
+        f"[run]\nseed = {seed}\noutput_dir = reports\n",
+        encoding="utf-8",
     )
-    (out_dir / "run.ini").write_text(run_ini, encoding="utf-8")
 
 
 def cmd_simulate(config: RunConfig) -> int:

@@ -86,7 +86,7 @@ class ExactFitNoVariance(CrosslistError):
 # --- GARCH estimation ----------------------------------------------------------
 
 class NonFiniteLikelihood(CrosslistError):
-    """The likelihood is not finite at the starting point."""
+    """The likelihood is unbounded (an exact OLS fit) or not finite at the starting point."""
 
 
 class NonStationaryParameters(CrosslistError):

@@ -491,8 +491,8 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     base = ols_fit(yv, [loc, us])
     resid = base.residuals
     resid_var = float(resid.var(ddof=1))
-    if resid_var <= 0 or not np.isfinite(resid_var):
-        raise NonFiniteLikelihood("OLS residual variance is not positive and finite")
+    if base.s2 == 0.0 or not np.isfinite(resid_var):  # an exact fit leaves only rounding noise to fit
+        raise NonFiniteLikelihood("the OLS fit is exact (zero residuals), or its residual variance is not finite")
     q, p = spec.q, spec.p
 
     lik = _Likelihood(yv, X, q, p, resid_var)

@@ -257,6 +257,18 @@ def load_manifest(path: str | Path) -> list[InstrumentRecord]:
     return records
 
 
+def write_manifest(records: Sequence[InstrumentRecord], path: str | Path) -> None:
+    """Write the instrument manifest; `load_manifest` of it gives back equal records.
+
+    `str` of a float is its round-tripping repr and of a date its ISO form;
+    csv quotes a cell with a comma or a quote.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(MANIFEST_COLUMNS)
+        writer.writerows([str(getattr(rec, column)) for column in MANIFEST_COLUMNS] for rec in records)
+
+
 def _parse_text(
     path: str | Path, columns: Sequence[str], *, require_positive: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:

@@ -1,10 +1,12 @@
-"""Shared test fixtures: independent oracles and panel simulators.
+"""Shared test fixtures: independent oracles, panel simulators and a Monte Carlo harness.
 
 The oracles here must stay independent of the code paths they check:
 the OLS oracle solves the normal equations in 40-digit arithmetic, and
 the panel simulator builds event panels from first principles (known
 coefficients, homoskedastic Gaussian noise) so calibration statistics
-have known distributions.
+have known distributions.  `null_rejections` runs the whole pipeline on
+seeded null bundles in memory and counts its 5% rejections, with exact
+binomial bounds.
 """
 
 from __future__ import annotations
@@ -12,14 +14,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import mpmath as mp
+from scipy.special import betaincinv
 
+from crosslist.cli import simulate_bundle
 from crosslist.event_study import (
     EventWindows,
     FirmEventResult,
+    Z_CRITICAL_5PCT,
     abnormal_returns,
+    run_event_study,
     standardize,
     window_values,
 )
@@ -87,6 +94,49 @@ def simulate_panel(rng, n_firms: int = 10, effect: float = 0.0,
             FirmEventResult(firm_id=f"F{i:02d}", ar=ar, star=star, weight=float(weights[i]))
         )
     return results
+
+
+@dataclass(frozen=True)
+class Rejections:
+    """`count` rejections in `attempts` independent trials."""
+
+    count: int
+    attempts: int
+
+    def bounds(self, confidence: float = 0.95) -> tuple[float, float]:
+        """The exact two-sided Clopper-Pearson interval for the rejection rate."""
+        tail = (1.0 - confidence) / 2.0
+        k, n = self.count, self.attempts
+        lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
+        hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
+        return lo, hi
+
+
+def null_rejections(n_bundles: int, seed: int, n_firms: int = 10, n_days: int = 300,
+                    windows: EventWindows = EventWindows(), max_p: int = 1, max_q: int = 1):
+    """5% rejections of the whole pipeline over seeded null (effect 0) bundles, studied in memory.
+
+    Bundle r is `simulate_bundle(n_firms, n_days, 0.0, seed + r)`.  Returns
+    `{"day0_z": ..., "variance": ...}` as `Rejections`: bundles whose day-0
+    |Z| > 1.96 among those with a finite day-0 Z (the bundle is the trial,
+    as its firms share one Z), and firms that `variance.csv` marks
+    significant among the firms it tests.
+    """
+    day0 = -windows.event.lo
+    z_count = z_attempts = var_count = var_attempts = 0
+    for r in range(n_bundles):
+        records, local_index, us_index, prices = simulate_bundle(n_firms, n_days, 0.0, seed + r)
+        study = run_event_study(records, prices, local_index, us_index, None, windows, max_p, max_q)
+        if study.panel is None:
+            continue
+        z0 = float(study.panel.z[day0])
+        if math.isfinite(z0):
+            z_attempts += 1
+            z_count += abs(z0) > Z_CRITICAL_5PCT
+        tested = [row for row in study.variance.rows if row.error is None]
+        var_attempts += len(tested)
+        var_count += sum(bool(row.f_result.significant_5pct) for row in tested)
+    return {"day0_z": Rejections(z_count, z_attempts), "variance": Rejections(var_count, var_attempts)}
 
 
 def align_reference(series):

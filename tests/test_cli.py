@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,16 @@ import numpy as np
 import pytest
 
 import crosslist
-from crosslist.cli import MAX_SIM_DAYS, generate_bundle, load_config, main
-from crosslist.event_study import EventWindows, study_firm
+from crosslist.cli import (
+    MAX_SIM_DAYS,
+    ConfigError,
+    _write_event_reports,
+    generate_bundle,
+    load_config,
+    main,
+    simulate_bundle,
+)
+from crosslist.event_study import EventWindows, run_event_study, study_firm
 from crosslist.garch import GarchSpec, fit_garch_market_model
 from crosslist.linear_models import diagnostics_report, ols_fit
 from crosslist.market_data import (
@@ -147,6 +156,35 @@ class TestSimulate:
         last = np.busday_offset(np.datetime64("2006-01-02"), MAX_SIM_DAYS - 1, roll="forward")
         assert last == np.datetime64("9999-12-31")
         assert MAX_SIM_DAYS == np.busday_count(np.datetime64("2006-01-02"), np.datetime64("10000-01-01"))
+
+
+class TestSimulateBundle:
+    def test_writer_goes_through_write_prices(self, tmp_path, monkeypatch):
+        # the benchmark's tracer times the writer by wrapping `market_data.write_prices`
+        written = []
+        monkeypatch.setattr("crosslist.market_data.write_prices", lambda series, path: written.append(Path(path).name))
+        generate_bundle(tmp_path, 3, 300, 0.0, 41)
+        assert written == ["sse.csv", "nyse.csv", "prices_F00.csv", "prices_F01.csv", "prices_F02.csv"]
+
+    def test_prices_repeat_and_match_the_written_files(self, tmp_path):
+        records, sse, nyse, prices = simulate_bundle(3, 300, 0.0, 41)
+        generate_bundle(tmp_path, 3, 300, 0.0, 41)
+        assert load_manifest(tmp_path / "manifest.csv") == records
+        assert (load_prices(tmp_path / "sse.csv"), load_prices(tmp_path / "nyse.csv")) == (sse, nyse)
+        for rec in records:
+            assert prices(rec) == prices(rec)
+            assert np.array_equal(prices(rec).closes, load_prices(tmp_path / rec.price_file).closes)
+
+    @pytest.mark.parametrize("settings", [(0, 300, 0.0, 1), (2, 2, 0.0, 1), (2, 300, 0.0, -1), (2, 300, math.inf, 1)])
+    def test_bad_settings_raise_before_the_output_directory_exists(self, tmp_path, settings):
+        with pytest.raises(ConfigError):
+            generate_bundle(tmp_path / "bundle", *settings)
+        assert not (tmp_path / "bundle").exists()
+
+    def test_overflowing_firm_raises_when_its_prices_are_simulated(self):
+        records, _, _, prices = simulate_bundle(2, 300, 1e6, 1)
+        with pytest.raises(ConfigError, match="firm F00's simulated closes leave the floating-point range"):
+            prices(records[0])
 
 def fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
     """`python ARGS` in a new interpreter that imports this checkout's crosslist."""
@@ -499,6 +537,25 @@ class TestEventStudy:
                 np.testing.assert_allclose(fit.ols.coefficients, ols.coefficients, rtol=1e-12)
                 assert fit.ols.s2 == pytest.approx(ols.s2, rel=1e-12)
                 np.testing.assert_allclose(fit.ols.xtx_inverse, ols.xtx_inverse, rtol=1e-12)
+
+    def test_in_memory_study_matches_the_written_bundle(self, tmp_path):
+        out = tmp_path / "bundle"
+        generate_bundle(out, 3, 300, 0.0, 41)
+        assert main(["event-study", "--config", str(out / "run.ini"), "--max-lags", "2,2"]) == 0
+        records, sse, nyse, prices = simulate_bundle(3, 300, 0.0, 41)
+        study = run_event_study(records, prices, sse, nyse, None, EventWindows(), max_p=2, max_q=2)
+        _write_event_reports(tmp_path / "memory", study, EventWindows(), usd=False)
+        assert file_hashes(tmp_path / "memory") == file_hashes(out / "reports")
+
+    def test_constant_close_firm_skipped_naming_the_exact_fit(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=41)
+        write_price_csv(out / "prices_F01.csv", np.full(300, 50.0))
+        assert main(["event-study", "--config", str(out / "run.ini")]) == 0
+        assert "firm F01 skipped: the OLS fit is exact" in capsys.readouterr().err
+        summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["skipped"]["F01"].startswith("the OLS fit is exact")
+        assert summary["n_firms_analyzed"] == 1
 
     def test_firm_with_short_history_skipped(self, tmp_path, capsys):
         out = tmp_path / "bundle"

@@ -3,6 +3,7 @@
 from dataclasses import fields, replace
 from datetime import date, timedelta
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,7 +31,7 @@ from crosslist.garch import GarchSimConfig, GarchSpec, simulate_garch
 from crosslist.linear_models import ols_fit
 from crosslist.market_data import InstrumentRecord, PriceSeries
 
-from .support import simulate_panel
+from .support import Rejections, null_rejections, simulate_panel
 from .test_market_data import weekday_dates
 
 REFERENCE_CAPS = {
@@ -456,3 +457,22 @@ class TestRunEventStudy:
         assert study.firms == ()
         assert list(study.skipped) == list(self.CAPS)
         assert study.panel is None and study.variance is None
+
+
+class TestNullRejections:
+    def test_deterministic(self):
+        counts = null_rejections(3, seed=900)
+        assert null_rejections(3, seed=900) == counts
+        assert counts["day0_z"].attempts == 3
+        assert 0 < counts["variance"].attempts <= 30
+        assert all(0 <= c.count <= c.attempts for c in counts.values())
+
+    def test_clopper_pearson_bounds(self):
+        # the closed forms at k = 0 and k = n, and the beta-tail definition between
+        lo, hi = Rejections(0, 20).bounds()
+        assert lo == 0.0 and hi == pytest.approx(1.0 - 0.025 ** (1 / 20), rel=1e-12)
+        lo, hi = Rejections(20, 20).bounds()
+        assert lo == pytest.approx(0.025 ** (1 / 20), rel=1e-12) and hi == 1.0
+        lo, hi = Rejections(5, 100).bounds(confidence=0.9)
+        assert float(mp.betainc(5, 96, 0, lo, regularized=True)) == pytest.approx(0.05, rel=1e-10)
+        assert float(mp.betainc(6, 95, hi, 1, regularized=True)) == pytest.approx(0.05, rel=1e-10)

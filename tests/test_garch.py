@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize, rosen, rosen_der
 
-from crosslist.errors import NonStationaryParameters, SeriesTooShort
+from crosslist.errors import NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
 from crosslist.garch import (
     _C1,
     _C2,
@@ -522,6 +522,19 @@ class TestFitRecovery:
         loc, us = make_indexes(rng, 59)
         with pytest.raises(SeriesTooShort):
             fit_garch_market_model(np.zeros(59) + 0.01 * loc, loc, us)
+
+    @pytest.mark.parametrize("shape", ["zero", "linear"])
+    @pytest.mark.parametrize("search", [False, True])
+    def test_exact_fit_raises(self, shape, search):
+        # an exact OLS fit leaves only rounding noise (residual variance ~1e-36
+        # for the linear case), which the likelihood must not be maximised on
+        loc, us = make_indexes(np.random.default_rng(5), 91)
+        y = np.zeros(91) if shape == "zero" else 0.0002 + 0.5 * loc + 0.3 * us
+        with pytest.raises(NonFiniteLikelihood, match="the OLS fit is exact"):
+            if search:
+                select_lags(y, loc, us, max_p=2, max_q=2)
+            else:
+                fit_garch_market_model(y, loc, us)
 
     def test_std_error_layout(self):
         rng = np.random.default_rng(31)

@@ -27,6 +27,7 @@ from crosslist.errors import (
 from crosslist.market_data import (
     PRICE_COLUMNS,
     AlignedPanel,
+    InstrumentRecord,
     PriceSeries,
     RateSeries,
     _check_rows,
@@ -38,6 +39,7 @@ from crosslist.market_data import (
     load_manifest,
     load_prices,
     load_risk_free,
+    write_manifest,
     write_prices,
 )
 from crosslist.stats_core import ReturnSeries
@@ -164,6 +166,20 @@ class TestLoadManifest:
         )
         with pytest.raises(MissingField, match="row 2: market_cap_usd 'nan' is not a finite"):
             load_manifest(path)
+
+
+class TestWriteManifest:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_reference_manifest(path)
+        records = load_manifest(path)
+        records.append(InstrumentRecord(
+            'Quoted "A", and B', "600999", "QAB", "Banks, regional", 0.1 + 0.2,
+            date(9999, 12, 31), date(1, 1, 1), "dir with, comma/p.csv",
+        ))
+        write_manifest(records, path)
+        assert load_manifest(path) == records
+        assert path.read_text(encoding="utf-8").splitlines()[0] == MANIFEST_HEADER
 
 
 class TestLoadPrices:

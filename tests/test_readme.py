@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 from crosslist.cli import load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,6 +23,8 @@ def test_library_block_runs_on_a_simulated_bundle(tmp_path, monkeypatch):
     assert namespace["result"].firm_id == "F00"
     study, records = namespace["study"], namespace["records"]
     assert len(study.firms) + len(study.skipped) == len(records)
+    # the in-memory bundle is the one the CLI wrote, so the two studies agree
+    assert np.array_equal(namespace["in_memory"].panel.z, namespace["z"])
 
 
 def test_config_block_loads(tmp_path):
