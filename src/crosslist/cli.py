@@ -39,6 +39,7 @@ from .linear_models import (
     ols_fit,
 )
 from .market_data import InstrumentRecord, PriceSeries, align
+from .stats_core import ReturnSeries
 
 # Move everything that exists once numpy and scipy are imported into the
 # permanent generation, so the collections run as the interpreter exits skip
@@ -128,6 +129,9 @@ def load_config(path: str | Path) -> RunConfig:
             if raw:
                 windows_kwargs[key] = OffsetRange(*_parse_ints(raw, 2, f"windows.{key}"))
         windows = EventWindows(**windows_kwargs)
+        output_dir = parser.get("run", "output_dir", fallback="out").strip()
+        if not output_dir:  # it would be the config's own directory, where `simulate` replaces run.ini
+            raise ConfigError(f"{path}: run.output_dir must not be empty")
         return RunConfig(
             manifest_path=_path("data", "manifest"),
             local_index_path=_path("data", "local_index"),
@@ -142,7 +146,7 @@ def load_config(path: str | Path) -> RunConfig:
             max_p=parser.getint("garch", "max_p", fallback=1),
             max_q=parser.getint("garch", "max_q", fallback=1),
             seed=parser.getint("run", "seed", fallback=0),
-            output_dir=base / parser.get("run", "output_dir", fallback="out").strip(),
+            output_dir=base / output_dir,
             sim_firms=parser.getint("simulate", "firms", fallback=10),
             sim_days=parser.getint("simulate", "days", fallback=300),
             sim_effect=parser.getfloat("simulate", "effect", fallback=0.0),
@@ -342,15 +346,17 @@ def cmd_capm(config: RunConfig) -> int:
 # event-study
 # --------------------------------------------------------------------------
 
-def _write_event_reports(out_dir: Path, result: EventStudyResult, windows: EventWindows, usd: bool) -> None:
-    """Write coefficients.csv, event.csv, variance.csv and summary.json for a study with a panel."""
+def write_event_reports(result: EventStudyResult, out_dir: Path) -> None:
+    """Write the four reports under out_dir; a study with no panel raises ValueError and creates nothing."""
+    panel = result.panel
+    if panel is None:
+        raise ValueError("no event-study reports to write: every firm was skipped")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "coefficients.csv", COEFFICIENTS_CSV_HEADER, (
         [res.firm_id, *res.fit.mean_coefficients.tolist(), res.fit.spec.q, res.fit.spec.p, res.weight]
         for res in result.firms
     ))
 
-    panel = result.panel
     # Python numbers throughout, so the significance cell is a bool, never np.bool_
     _write_csv(out_dir / "event.csv", EVENT_CSV_HEADER, (
         [offset, aar, car, z, math.isfinite(z) and abs(z) > Z_CRITICAL_5PCT]
@@ -367,21 +373,21 @@ def _write_event_reports(out_dir: Path, result: EventStudyResult, windows: Event
             float(row.f_result.p_value),
             bool(row.f_result.significant_5pct),
         ]
-        for row in result.variance.rows
+        for row in result.variance
     ))
 
-    day0 = -windows.event.lo  # the panel's offsets run over the event window, which holds day 0
+    day0 = -result.windows.event.lo  # the panel's offsets run over the event window, which holds day 0
     summary = {
         "n_firms_analyzed": len(result.firms),
         "n_firms_skipped": len(result.skipped),
         "skipped": {firm_id: str(exc) for firm_id, exc in result.skipped.items()},
-        "currency_mode": "usd" if usd else "local-currency",
+        "currency_mode": "usd" if result.usd else "local-currency",
         "day0_aar": float(panel.aar[day0]),
         "day0_z": float(panel.z[day0]),
         "day0_significant_5pct": bool(abs(panel.z[day0]) > Z_CRITICAL_5PCT),
         "cz_full_window": panel.cz_full_window,
         "car_full_window": float(panel.car[-1]),
-        "windows": {name: [window.lo, window.hi] for name, window in vars(windows).items()},
+        "windows": {name: [window.lo, window.hi] for name, window in vars(result.windows).items()},
         "diagnostics": {
             res.firm_id: {
                 "dw": res.diagnostics.dw_statistic,
@@ -422,7 +428,7 @@ def cmd_event_study(config: RunConfig) -> int:
         _warn("event-study failed: every firm was skipped")
         return 1
 
-    _write_event_reports(config.output_dir, result, config.windows, usd=fx is not None)
+    write_event_reports(result, config.output_dir)
     _say(
         f"{len(result.firms)} firm(s) analyzed, {len(result.skipped)} skipped -> "
         f"{config.output_dir}/{{coefficients,event,variance}}.csv, summary.json"
@@ -467,10 +473,11 @@ def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
     dates = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
     n_returns = n_days - 1
 
-    loc_ret = 0.0002 + 0.012 * rng.standard_normal(n_returns)
-    us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
-    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret))
-    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret))
+    # dated index returns: `simulate_garch` takes their dates rather than building a grid per firm
+    loc_ret = ReturnSeries("sse", dates[1:], 0.0002 + 0.012 * rng.standard_normal(n_returns))
+    us_ret = ReturnSeries("nyse", dates[1:], 0.0002 + 0.010 * rng.standard_normal(n_returns))
+    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret.values))
+    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret.values))
 
     # each firm simulates from its own seed, so drawing every firm's settings
     # first leaves the bundle generator's sequence as one loop would draw it
@@ -573,6 +580,8 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
+    if args.out == "":  # Path("") is the working directory
+        raise ConfigError("--out must not be empty")
     if args.out is not None:
         changes["output_dir"] = Path(args.out)
     if args.windows is not None:

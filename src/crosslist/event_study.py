@@ -132,18 +132,15 @@ class VarianceRatioRow:
 
 
 @dataclass(frozen=True)
-class VarianceRatioReport:
-    rows: tuple[VarianceRatioRow, ...]
-
-
-@dataclass(frozen=True)
 class EventStudyResult:
-    """What `run_event_study` found; `panel` and `variance` are None when every firm was skipped."""
+    """What `run_event_study` found over `windows`, in USD if `usd`; no `panel` or `variance` if all were skipped."""
 
     firms: tuple[FirmEventResult, ...]
     skipped: Mapping[str, Exception]
     panel: EventPanelResult | None
-    variance: VarianceRatioReport | None
+    variance: tuple[VarianceRatioRow, ...] | None
+    windows: EventWindows
+    usd: bool
 
 
 def window_values(values, offsets, window: OffsetRange, fill_missing: bool = False) -> np.ndarray:
@@ -265,8 +262,8 @@ def aggregate(results: Sequence[FirmEventResult], windows: EventWindows) -> Even
 def variance_ratio_report(
     returns_by_firm: Mapping[str, tuple[np.ndarray, np.ndarray]],
     windows: EventWindows,
-) -> VarianceRatioReport:
-    """Per-firm post/pre variance ratio with a two-sided F-test.
+) -> tuple[VarianceRatioRow, ...]:
+    """Per-firm post/pre variance ratio with a two-sided F-test, one row per firm.
 
     `returns_by_firm` maps firm id to (values, offsets) of its raw returns
     in event time.  A degenerate firm (too few observations or zero
@@ -282,7 +279,7 @@ def variance_ratio_report(
             rows.append(VarianceRatioRow(firm_id=firm_id, f_result=None, error=str(exc)))
             continue
         rows.append(VarianceRatioRow(firm_id=firm_id, f_result=result))
-    return VarianceRatioReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def study_firm(
@@ -379,8 +376,9 @@ def run_event_study(
             returns_by_firm[rec.n_code] = (returns, offsets)
         except (CrosslistError, OSError) as exc:
             skipped[rec.n_code] = exc
+    usd = fx is not None
     if not firms:
-        return EventStudyResult(firms=(), skipped=skipped, panel=None, variance=None)
+        return EventStudyResult(firms=(), skipped=skipped, panel=None, variance=None, windows=windows, usd=usd)
 
     weights = cap_weights(records, [res.firm_id for res in firms])
     firms = tuple(replace(res, weight=weights[res.firm_id]) for res in firms)
@@ -389,4 +387,6 @@ def run_event_study(
         skipped=skipped,
         panel=aggregate(firms, windows),
         variance=variance_ratio_report(returns_by_firm, windows),
+        windows=windows,
+        usd=usd,
     )

@@ -133,7 +133,7 @@ def null_rejections(n_bundles: int, seed: int, n_firms: int = 10, n_days: int = 
         if math.isfinite(z0):
             z_attempts += 1
             z_count += abs(z0) > Z_CRITICAL_5PCT
-        tested = [row for row in study.variance.rows if row.error is None]
+        tested = [row for row in study.variance if row.error is None]
         var_attempts += len(tested)
         var_count += sum(bool(row.f_result.significant_5pct) for row in tested)
     return {"day0_z": Rejections(z_count, z_attempts), "variance": Rejections(var_count, var_attempts)}

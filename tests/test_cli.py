@@ -17,13 +17,13 @@ import crosslist
 from crosslist.cli import (
     MAX_SIM_DAYS,
     ConfigError,
-    _write_event_reports,
     generate_bundle,
     load_config,
     main,
     simulate_bundle,
+    write_event_reports,
 )
-from crosslist.event_study import EventWindows, run_event_study, study_firm
+from crosslist.event_study import EventWindows, OffsetRange, run_event_study, study_firm
 from crosslist.garch import GarchSpec, fit_garch_market_model
 from crosslist.linear_models import diagnostics_report, ols_fit
 from crosslist.market_data import (
@@ -544,8 +544,40 @@ class TestEventStudy:
         assert main(["event-study", "--config", str(out / "run.ini"), "--max-lags", "2,2"]) == 0
         records, sse, nyse, prices = simulate_bundle(3, 300, 0.0, 41)
         study = run_event_study(records, prices, sse, nyse, None, EventWindows(), max_p=2, max_q=2)
-        _write_event_reports(tmp_path / "memory", study, EventWindows(), usd=False)
+        write_event_reports(study, tmp_path / "memory")
         assert file_hashes(tmp_path / "memory") == file_hashes(out / "reports")
+
+    def test_asymmetric_event_window_reports_day_zero(self, tmp_path):
+        out = tmp_path / "bundle"
+        generate_bundle(out, 3, 300, 0.0, 61)
+        with open(out / "run.ini", "a", encoding="utf-8") as f:
+            f.write("\n[windows]\nevent = -10,20\n")
+        assert main(["event-study", "--config", str(out / "run.ini")]) == 0
+        windows = EventWindows(event=OffsetRange(-10, 20))
+        records, sse, nyse, prices = simulate_bundle(3, 300, 0.0, 61)
+        study = run_event_study(records, prices, sse, nyse, None, windows)
+        write_event_reports(study, tmp_path / "memory")
+        assert file_hashes(tmp_path / "memory") == file_hashes(out / "reports")
+
+        summary = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
+        rows = read_csv(out / "reports" / "event.csv")
+        assert [int(row["offset"]) for row in rows] == list(range(-10, 21))
+        (day0,) = [row for row in rows if row["offset"] == "0"]
+        assert format(summary["day0_aar"], ".9g") == day0["aar"]
+        assert format(summary["day0_z"], ".9g") == day0["z"]
+        assert summary["windows"] == {name: [w.lo, w.hi] for name, w in vars(study.windows).items()}
+        assert summary["windows"]["event"] == [-10, 20]
+
+    def test_writer_refuses_a_study_with_no_panel(self, tmp_path):
+        records, sse, nyse, _ = simulate_bundle(2, 300, 0.0, 41)
+
+        def missing(rec):
+            raise OSError(f"{rec.price_file}: file not found")
+
+        study = run_event_study(records, missing, sse, nyse, None, EventWindows())
+        with pytest.raises(ValueError, match="every firm was skipped"):
+            write_event_reports(study, tmp_path / "reports")
+        assert not (tmp_path / "reports").exists()
 
     def test_constant_close_firm_skipped_naming_the_exact_fit(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -682,6 +714,21 @@ class TestConfigParsing:
         (tmp_path / "run.ini").write_text("[windows]\nestimation = 5%\n", encoding="utf-8")
         assert main(["validate", "--config", str(tmp_path / "run.ini")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'run.ini'}: '%' must be followed")
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_empty_output_dir_is_config_error(self, tmp_path, monkeypatch, capsys, source):
+        # empty, either would name the directory that holds run.ini, and
+        # `simulate` would replace the user's config with its own
+        config = tmp_path / "run.ini"
+        text = "[simulate]\nfirms = 2\n\n[run]\noutput_dir =" + (" out\n" if source == "flag" else "\n")
+        config.write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--config", "run.ini"] + (["--out", ""] if source == "flag" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("--out" if source == "flag" else "run.output_dir") in err
+        assert config.read_text(encoding="utf-8") == text
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         sub = tmp_path / "nested"

@@ -29,7 +29,7 @@ from crosslist.event_study import (
 )
 from crosslist.garch import GarchSimConfig, GarchSpec, simulate_garch
 from crosslist.linear_models import ols_fit
-from crosslist.market_data import InstrumentRecord, PriceSeries
+from crosslist.market_data import InstrumentRecord, PriceSeries, RateSeries
 
 from .support import Rejections, null_rejections, simulate_panel
 from .test_market_data import weekday_dates
@@ -290,7 +290,7 @@ class TestVarianceRatioReport:
         for _ in range(n_seeds):
             values = rng.normal(0, 0.02, offsets.shape[0])
             report = variance_ratio_report({"X": (values, offsets)}, windows)
-            row = report.rows[0]
+            row = report[0]
             assert row.error is None
             if not row.f_result.significant_5pct:
                 not_significant += 1
@@ -303,7 +303,7 @@ class TestVarianceRatioReport:
         values = rng.normal(0, 0.02, offsets.shape[0])
         values[offsets >= 15] = rng.normal(0, 0.02 * np.sqrt(2.0), (offsets >= 15).sum())
         report = variance_ratio_report({"X": (values, offsets)}, windows)
-        row = report.rows[0]
+        row = report[0]
         assert row.f_result.ratio == pytest.approx(2.0, abs=0.9)
         assert row.f_result.significant_5pct
 
@@ -315,7 +315,7 @@ class TestVarianceRatioReport:
         report = variance_ratio_report({"X": (values, offsets)}, windows)
         pre = values[(offsets >= -105) & (offsets <= -15)]
         post = values[(offsets >= 15) & (offsets <= 105)]
-        assert report.rows[0].f_result.ratio == pytest.approx(
+        assert report[0].f_result.ratio == pytest.approx(
             post.var(ddof=1) / pre.var(ddof=1), rel=1e-12
         )
 
@@ -326,11 +326,11 @@ class TestVarianceRatioReport:
         good = rng.normal(0, 0.02, offsets.shape[0])
         flat = np.zeros(offsets.shape[0])
         report = variance_ratio_report({"OK": (good, offsets), "FLAT": (flat, offsets)}, windows)
-        by_id = {row.firm_id: row for row in report.rows}
+        by_id = {row.firm_id: row for row in report}
         assert by_id["OK"].error is None
         assert by_id["FLAT"].error is not None
         assert by_id["FLAT"].f_result is None
-        assert len(report.rows) == 2
+        assert len(report) == 2
 
 
 class TestStudyFirm:
@@ -445,7 +445,8 @@ class TestRunEventStudy:
         expected = aggregate(study.firms, windows)
         for field in fields(EventPanelResult):
             np.testing.assert_array_equal(getattr(study.panel, field.name), getattr(expected, field.name))
-        assert [row.firm_id for row in study.variance.rows] == analyzed
+        assert [row.firm_id for row in study.variance] == analyzed
+        assert study.windows is windows and study.usd is False
 
     def test_every_firm_skipped_leaves_no_panel(self):
         records, _, sse, nyse = self._inputs()
@@ -453,10 +454,14 @@ class TestRunEventStudy:
         def missing(rec):
             raise OSError(f"{rec.price_file}: file not found")
 
-        study = run_event_study(records, missing, sse, nyse, None, EventWindows())
+        # with FX: the result still records the windows and the USD mode it ran in
+        fx = RateSeries(sse.dates, np.full(len(sse), 0.125))
+        windows = EventWindows()
+        study = run_event_study(records, missing, sse, nyse, fx, windows)
         assert study.firms == ()
         assert list(study.skipped) == list(self.CAPS)
         assert study.panel is None and study.variance is None
+        assert study.windows is windows and study.usd is True
 
 
 class TestNullRejections:

@@ -25,6 +25,10 @@ def test_library_block_runs_on_a_simulated_bundle(tmp_path, monkeypatch):
     assert len(study.firms) + len(study.skipped) == len(records)
     # the in-memory bundle is the one the CLI wrote, so the two studies agree
     assert np.array_equal(namespace["in_memory"].panel.z, namespace["z"])
+    # and the in-memory study's reports are the command's, byte for byte
+    assert main(["event-study", "--config", "run.ini", "--out", "cli-reports"]) == 0
+    for name in ("coefficients.csv", "event.csv", "variance.csv", "summary.json"):
+        assert (bundle / "memory-reports" / name).read_bytes() == (bundle / "cli-reports" / name).read_bytes()
 
 
 def test_config_block_loads(tmp_path):
