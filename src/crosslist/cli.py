@@ -359,7 +359,7 @@ def write_event_reports(result: EventStudyResult, out_dir: Path) -> None:
 
     # Python numbers throughout, so the significance cell is a bool, never np.bool_
     _write_csv(out_dir / "event.csv", EVENT_CSV_HEADER, (
-        [offset, aar, car, z, math.isfinite(z) and abs(z) > Z_CRITICAL_5PCT]
+        [offset, aar, car, z, abs(z) > Z_CRITICAL_5PCT]
         for offset, aar, car, z in zip(
             panel.offsets.tolist(), panel.aar.tolist(), panel.car.tolist(), panel.z.tolist()
         )

@@ -100,7 +100,7 @@ class WindowOutOfData(CrosslistError):
 
 
 class MisalignedOffsets(CrosslistError):
-    pass
+    """Vectors that must pair day for day in event time have different lengths."""
 
 
 class UnknownFirm(CrosslistError):

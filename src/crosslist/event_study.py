@@ -5,9 +5,9 @@ variance-ratio reports.
 
 `run_event_study` runs the whole study over a manifest, one firm at a
 time, skipping a firm that fails; `aggregate` is a deterministic reduction
-over the per-firm results.  Days on which a firm has no data are carried
-as NaN and excluded from that day's cross-section (weights renormalize
-over the firms present), never interpolated.
+over the per-firm results.  Event time counts a firm's own aligned trading
+days, so its return vectors are consecutive in event time and every
+window is a slice of them around the position of day 0.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ class EventPanelResult:
     car: np.ndarray
     z: np.ndarray
     cz_full_window: float
-    n_firms_by_day: np.ndarray
 
     def cumulative_z(self, lo: int, hi: int) -> float:
         """Sum of z over offsets [lo, hi] scaled by sqrt(1/(hi - lo + 1))."""
@@ -143,25 +142,17 @@ class EventStudyResult:
     usd: bool
 
 
-def window_values(values, offsets, window: OffsetRange, fill_missing: bool = False) -> np.ndarray:
-    """Select the observations whose event-time offsets fall inside `window`.
+def _window(values: np.ndarray, day0: int, window: OffsetRange) -> np.ndarray:
+    """The entries of `values` inside `window`, given that day 0 sits at position `day0`.
 
-    With fill_missing the result always has window.length entries, NaN
-    where the offset is absent; otherwise only present observations are
-    returned and an entirely uncovered window raises WindowOutOfData.
+    Raises WindowOutOfData unless `values` cover the whole window.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    offsets = np.asarray(offsets)
-    if values.shape != offsets.shape:
-        raise MisalignedOffsets("values and offsets must have equal length")
-    mask = (offsets >= window.lo) & (offsets <= window.hi)
-    if fill_missing:
-        out = np.full(window.length, np.nan)
-        out[offsets[mask] - window.lo] = values[mask]
-        return out
-    if not mask.any():
-        raise WindowOutOfData(f"no observations inside [{window.lo}, {window.hi}]")
-    return values[mask]
+    start, stop = day0 + window.lo, day0 + window.hi + 1
+    if start < 0 or stop > len(values):
+        raise WindowOutOfData(
+            f"coverage [{-day0}, {len(values) - 1 - day0}] does not span [{window.lo}, {window.hi}]"
+        )
+    return values[start:stop]
 
 
 def abnormal_returns(firm_returns, local_index, us_index, mean_coefficients) -> np.ndarray:
@@ -169,7 +160,7 @@ def abnormal_returns(firm_returns, local_index, us_index, mean_coefficients) -> 
 
     `mean_coefficients` is the (intercept, local, US) vector of a fitted
     market model; the fit must come from data strictly before the event
-    window.  NaN inputs (days a firm lacks data) yield NaN outputs.
+    window.  NaN inputs yield NaN outputs.
     """
     r = np.asarray(firm_returns, dtype=float).ravel()
     loc = np.asarray(local_index, dtype=float).ravel()
@@ -216,10 +207,10 @@ def standardize(ar, fit: OlsFit, local_index, us_index) -> np.ndarray:
 def aggregate(results: Sequence[FirmEventResult], windows: EventWindows) -> EventPanelResult:
     """Reduce per-firm results to the event-panel statistics.
 
-    aar_t cap-weights the abnormal returns of the firms with data on day t
-    (weights renormalized to sum to one that day); car is the running sum
-    of aar from the window start; z_t sums standardized abnormal returns
-    unweighted, scaled by sqrt(1/n_t).
+    aar_t weights every firm's abnormal return on day t by its weight over
+    the weights' sum; car is the running sum of aar from the window start;
+    z_t sums standardized abnormal returns unweighted, scaled by
+    sqrt(1/n) over the n firms.  A non-finite AR or StAR raises ValueError.
     """
     if not results:
         raise ValueError("aggregate requires at least one firm result")
@@ -231,23 +222,16 @@ def aggregate(results: Sequence[FirmEventResult], windows: EventWindows) -> Even
                 f"{res.firm_id}: event vectors must have {n_days} entries aligned to "
                 f"[{windows.event.lo}, {windows.event.hi}]"
             )
-    ar = np.vstack([res.ar for res in results])
-    star = np.vstack([res.star for res in results])
+    # one row per day, so each day reduces a contiguous vector over the firms
+    ar = np.column_stack([res.ar for res in results])
+    star = np.column_stack([res.star for res in results])
+    if not (np.isfinite(ar).all() and np.isfinite(star).all()):
+        raise ValueError("aggregate requires finite abnormal and standardized abnormal returns")
     weights = np.array([res.weight for res in results])
-    valid = np.isfinite(ar)
-
-    aar = np.full(n_days, np.nan)
-    z = np.full(n_days, np.nan)
-    n_firms = valid.sum(axis=0)
-    for t in range(n_days):
-        m = valid[:, t]
-        if not m.any():
-            continue
-        w = weights[m] / weights[m].sum()
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise RuntimeError("renormalized weights do not sum to one")
-        aar[t] = float(w @ ar[m, t])
-        z[t] = float(np.sum(star[m, t]) * np.sqrt(1.0 / m.sum()))
+    w = weights / weights.sum()
+    scale = np.sqrt(1.0 / len(results))
+    aar = np.array([float(w @ row) for row in ar])
+    z = np.array([float(np.sum(row) * scale) for row in star])
 
     return EventPanelResult(
         offsets=offsets,
@@ -255,25 +239,25 @@ def aggregate(results: Sequence[FirmEventResult], windows: EventWindows) -> Even
         car=np.cumsum(aar),
         z=z,
         cz_full_window=float(np.sum(z) * np.sqrt(1.0 / n_days)),
-        n_firms_by_day=n_firms,
     )
 
 
 def variance_ratio_report(
-    returns_by_firm: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    returns_by_firm: Mapping[str, tuple[np.ndarray, int]],
     windows: EventWindows,
 ) -> tuple[VarianceRatioRow, ...]:
     """Per-firm post/pre variance ratio with a two-sided F-test, one row per firm.
 
-    `returns_by_firm` maps firm id to (values, offsets) of its raw returns
-    in event time.  A degenerate firm (too few observations or zero
-    variance in either window) gets an error row; the others proceed.
+    `returns_by_firm` maps firm id to (values, day0): raw returns
+    consecutive in event time, with day 0 at position `day0`.  A firm
+    whose returns do not cover both windows, or is degenerate (a one-day
+    window or zero variance), gets an error row; the others proceed.
     """
     rows: list[VarianceRatioRow] = []
-    for firm_id, (values, offsets) in returns_by_firm.items():
+    for firm_id, (values, day0) in returns_by_firm.items():
         try:
-            pre = window_values(values, offsets, windows.pre_var)
-            post = window_values(values, offsets, windows.post_var)
+            pre = _window(values, day0, windows.pre_var)
+            post = _window(values, day0, windows.post_var)
             result = variance_f_test(post, pre)
         except (DegenerateSample, WindowOutOfData) as exc:
             rows.append(VarianceRatioRow(firm_id=firm_id, f_result=None, error=str(exc)))
@@ -287,7 +271,7 @@ def study_firm(
     returns,
     local_index,
     us_index,
-    offsets,
+    day0: int,
     windows: EventWindows,
     weight: float,
     max_p: int = 1,
@@ -295,33 +279,23 @@ def study_firm(
 ) -> FirmEventResult:
     """Run the per-firm pipeline: estimation-window fit, AR, StAR, and diagnostics.
 
-    `returns`, `local_index`, and `us_index` are aligned vectors with
-    event-time `offsets`.  The market model sees only observations at
-    offsets inside the estimation window, with lags selected up to
+    `returns`, `local_index`, and `us_index` are aligned vectors,
+    consecutive in event time, with day 0 at position `day0`; they must
+    cover the estimation and event windows (else WindowOutOfData).  The
+    market model sees only the estimation window, with lags selected up to
     (max_p, max_q).  ARs use the GARCH mean coefficients; StARs and the
     residual diagnostics use the same window's OLS fit, `fit.ols`.
     """
     r = np.asarray(returns, dtype=float).ravel()
     loc = np.asarray(local_index, dtype=float).ravel()
     us = np.asarray(us_index, dtype=float).ravel()
-    off = np.asarray(offsets)
-    if not (r.shape == loc.shape == us.shape == off.shape):
-        raise MisalignedOffsets(f"{firm_id}: returns, indexes, and offsets must have equal length")
+    if not (r.shape == loc.shape == us.shape):
+        raise MisalignedOffsets(f"{firm_id}: returns and indexes must have equal length")
 
-    est_mask = (off >= windows.estimation.lo) & (off <= windows.estimation.hi)
-    if est_mask.sum() < windows.estimation.length:
-        raise WindowOutOfData(
-            f"{firm_id}: estimation window has {int(est_mask.sum())} of "
-            f"{windows.estimation.length} days"
-        )
-    assert off[est_mask].max() <= windows.estimation.hi  # no event-window leakage
-
-    y_est, loc_est, us_est = r[est_mask], loc[est_mask], us[est_mask]
+    y_est, loc_est, us_est = (_window(v, day0, windows.estimation) for v in (r, loc, us))
     _, fit = select_lags(y_est, loc_est, us_est, max_p=max_p, max_q=max_q)
 
-    r_ev = window_values(r, off, windows.event, fill_missing=True)
-    loc_ev = window_values(loc, off, windows.event, fill_missing=True)
-    us_ev = window_values(us, off, windows.event, fill_missing=True)
+    r_ev, loc_ev, us_ev = (_window(v, day0, windows.event) for v in (r, loc, us))
     ar = abnormal_returns(r_ev, loc_ev, us_ev, fit.mean_coefficients)
     star = standardize(ar, fit.ols, loc_ev, us_ev)
     return FirmEventResult(
@@ -347,13 +321,13 @@ def run_event_study(
     """Study each manifest firm, then cap-weight, aggregate and compare variances.
 
     A firm's closes come from `load_prices(record)`, in USD when `fx` is
-    given, and its aligned returns must cover every window.  `firms` holds
-    the analyzed firms with their cap weights.  A firm whose load or study
-    raises a CrosslistError or OSError is skipped: `skipped` maps its id to
-    that error, in manifest order.
+    given, and its aligned returns must cover the span of all four windows.
+    `firms` holds the analyzed firms with their cap weights.  A firm whose
+    load or study raises a CrosslistError or OSError is skipped: `skipped`
+    maps its id to that error, in manifest order.
     """
-    lo = min(windows.estimation.lo, windows.pre_var.lo, windows.event.lo)
-    hi = max(windows.event.hi, windows.post_var.hi)
+    ranges = vars(windows).values()
+    span = OffsetRange(min(w.lo for w in ranges), max(w.hi for w in ranges))
     firms = []
     returns_by_firm = {}
     skipped: dict[str, Exception] = {}
@@ -363,17 +337,15 @@ def run_event_study(
             if fx is not None:
                 prices = market_data.convert_to_usd(prices, fx)
             panel = market_data.align([prices, local_index, us_index])
-            offsets = market_data.build_event_frame(panel, rec.us_listing_date)[1:]
+            # a return is dated by its second close, so day 0 sits one place earlier
+            day0 = market_data.build_event_frame(panel, rec.us_listing_date) - 1
             returns, loc_ret, us_ret = (np.diff(np.log(v)) for v in panel.closes)
-            if offsets.min() > lo or offsets.max() < hi:
-                raise WindowOutOfData(
-                    f"coverage [{offsets.min()}, {offsets.max()}] does not span [{lo}, {hi}]"
-                )
+            _window(returns, day0, span)  # raises, naming the coverage, unless every window is covered
             firms.append(study_firm(
-                rec.n_code, returns, loc_ret, us_ret, offsets, windows,
+                rec.n_code, returns, loc_ret, us_ret, day0, windows,
                 weight=1.0, max_p=max_p, max_q=max_q,
             ))
-            returns_by_firm[rec.n_code] = (returns, offsets)
+            returns_by_firm[rec.n_code] = (returns, day0)
         except (CrosslistError, OSError) as exc:
             skipped[rec.n_code] = exc
     usd = fx is not None

@@ -485,8 +485,8 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     return AlignedPanel(common_dates=series[0].dates[positions[0]], closes=closes)
 
 
-def build_event_frame(panel: AlignedPanel, event_date: date) -> np.ndarray:
-    """The signed trading-day offset of each panel date around the event, as int64.
+def build_event_frame(panel: AlignedPanel, event_date: date) -> int:
+    """The position of day 0 among the panel dates; the date at position k is event day k - day0.
 
     Day 0 is the event date itself when it is a panel date, otherwise the
     first panel date after it (listings on non-trading days roll forward).
@@ -495,4 +495,4 @@ def build_event_frame(panel: AlignedPanel, event_date: date) -> np.ndarray:
     day = np.datetime64(event_date, "D")
     if day > dates[-1]:
         raise EventAfterPanelEnd(f"event date {day} is after the last panel date {dates[-1]}")
-    return np.arange(dates.size, dtype=np.int64) - np.searchsorted(dates, day)
+    return int(np.searchsorted(dates, day))

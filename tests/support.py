@@ -28,7 +28,6 @@ from crosslist.event_study import (
     abnormal_returns,
     run_event_study,
     standardize,
-    window_values,
 )
 from crosslist.garch import _LOG_2PI, _variance_filter
 from crosslist.linear_models import ols_fit
@@ -52,14 +51,14 @@ def ols_oracle(y, regressors, dps: int = 40) -> np.ndarray:
         return np.array([float(c) for c in coef])
 
 
-def simulate_firm_returns(rng, loc, us, sigma, effect=0.0, offsets=None):
-    """One firm's returns from known market-model coefficients plus iid noise."""
+def simulate_firm_returns(rng, loc, us, sigma, effect=0.0, day0=None):
+    """One firm's returns from known market-model coefficients plus iid noise, `effect` added at `day0`."""
     T = loc.shape[0]
     beta = np.array([rng.normal(0.0, 1e-4), rng.uniform(0.3, 1.2), rng.uniform(0.1, 0.8)])
     X = np.column_stack([np.ones(T), loc, us])
     r = X @ beta + sigma * rng.standard_normal(T)
-    if effect and offsets is not None:
-        r[offsets == 0] += effect
+    if effect and day0 is not None:
+        r[day0] += effect
     return r
 
 
@@ -71,24 +70,24 @@ def simulate_panel(rng, n_firms: int = 10, effect: float = 0.0,
     the standardized abnormal returns follow a t distribution with
     (estimation length - 3) degrees of freedom by construction.
     """
-    offsets = np.arange(windows.estimation.lo, windows.event.hi + 1)
-    T = offsets.shape[0]
+    # the vectors run from the estimation window's first day to the event window's last
+    day0 = -windows.estimation.lo
+    T = day0 + windows.event.hi + 1
     loc = 0.01 * rng.standard_normal(T)
     us = 0.01 * rng.standard_normal(T)
     caps = rng.uniform(1e9, 1e10, n_firms)
     weights = caps / caps.sum()
 
-    est = (offsets >= windows.estimation.lo) & (offsets <= windows.estimation.hi)
-    loc_ev = window_values(loc, offsets, windows.event, fill_missing=True)
-    us_ev = window_values(us, offsets, windows.event, fill_missing=True)
+    est = slice(0, windows.estimation.length)
+    ev = slice(day0 + windows.event.lo, T)
+    loc_ev, us_ev = loc[ev], us[ev]
 
     results = []
     for i in range(n_firms):
         sigma = rng.uniform(0.008, 0.018)
-        r = simulate_firm_returns(rng, loc, us, sigma, effect=effect, offsets=offsets)
+        r = simulate_firm_returns(rng, loc, us, sigma, effect=effect, day0=day0)
         fit = ols_fit(r[est], [loc[est], us[est]])
-        r_ev = window_values(r, offsets, windows.event, fill_missing=True)
-        ar = abnormal_returns(r_ev, loc_ev, us_ev, fit.coefficients)
+        ar = abnormal_returns(r[ev], loc_ev, us_ev, fit.coefficients)
         star = standardize(ar, fit, loc_ev, us_ev)
         results.append(
             FirmEventResult(firm_id=f"F{i:02d}", ar=ar, star=star, weight=float(weights[i]))
@@ -118,9 +117,9 @@ def null_rejections(n_bundles: int, seed: int, n_firms: int = 10, n_days: int = 
 
     Bundle r is `simulate_bundle(n_firms, n_days, 0.0, seed + r)`.  Returns
     `{"day0_z": ..., "variance": ...}` as `Rejections`: bundles whose day-0
-    |Z| > 1.96 among those with a finite day-0 Z (the bundle is the trial,
-    as its firms share one Z), and firms that `variance.csv` marks
-    significant among the firms it tests.
+    |Z| > 1.96 among those with a panel (the bundle is the trial, as its
+    firms share one Z), and firms that `variance.csv` marks significant
+    among the firms it tests.
     """
     day0 = -windows.event.lo
     z_count = z_attempts = var_count = var_attempts = 0
@@ -129,10 +128,8 @@ def null_rejections(n_bundles: int, seed: int, n_firms: int = 10, n_days: int = 
         study = run_event_study(records, prices, local_index, us_index, None, windows, max_p, max_q)
         if study.panel is None:
             continue
-        z0 = float(study.panel.z[day0])
-        if math.isfinite(z0):
-            z_attempts += 1
-            z_count += abs(z0) > Z_CRITICAL_5PCT
+        z_attempts += 1
+        z_count += abs(float(study.panel.z[day0])) > Z_CRITICAL_5PCT
         tested = [row for row in study.variance if row.error is None]
         var_attempts += len(tested)
         var_count += sum(bool(row.f_result.significant_5pct) for row in tested)

@@ -53,12 +53,12 @@ def file_hashes(root: Path) -> dict[str, str]:
 
 
 def bundle_firm_inputs(bundle: Path, rec):
-    """A generated bundle firm's (returns, local index, US index, offsets), rebuilt through the library."""
+    """A generated bundle firm's (returns, local index, US index, day-0 position), rebuilt through the library."""
     prices = load_prices(bundle / rec.price_file)
     panel = align([prices, load_prices(bundle / "sse.csv"), load_prices(bundle / "nyse.csv")])
-    offsets = build_event_frame(panel, rec.us_listing_date)[1:]
+    day0 = build_event_frame(panel, rec.us_listing_date) - 1  # returns start at the second date
     returns, loc, us = (np.diff(np.log(v)) for v in panel.closes)
-    return returns, loc, us, offsets
+    return returns, loc, us, day0
 
 
 def write_price_csv(path: Path, closes, start=date(2006, 1, 2)):
@@ -519,8 +519,8 @@ class TestEventStudy:
         records = load_manifest(config.manifest_path)
         assert sorted(summary["diagnostics"]) == [rec.n_code for rec in records]
         for rec in records:
-            returns, loc, us, offsets = bundle_firm_inputs(out, rec)
-            est = (offsets >= windows.estimation.lo) & (offsets <= windows.estimation.hi)
+            returns, loc, us, day0 = bundle_firm_inputs(out, rec)
+            est = slice(day0 + windows.estimation.lo, day0 + windows.estimation.hi + 1)
             regressors = [loc[est], us[est]]
             ols = ols_fit(returns[est], regressors)
 
@@ -530,7 +530,7 @@ class TestEventStudy:
             assert reported["bg_p_value"] == pytest.approx(diag.bg_p_value, rel=1e-12)
             assert reported["heteroskedastic_5pct"] == diag.heteroskedastic_5pct
 
-            result = study_firm(rec.n_code, returns, loc, us, offsets, windows, weight=1.0)
+            result = study_firm(rec.n_code, returns, loc, us, day0, windows, weight=1.0)
             flat = fit_garch_market_model(returns[est], *regressors, GarchSpec(0, 0))
             assert (result.fit.spec.p, result.fit.spec.q) == (1, 1)
             for fit in (result.fit, flat):

@@ -25,8 +25,8 @@ from crosslist.event_study import (
     standardize,
     study_firm,
     variance_ratio_report,
-    window_values,
 )
+from crosslist.cli import simulate_bundle
 from crosslist.garch import GarchSimConfig, GarchSpec, simulate_garch
 from crosslist.linear_models import ols_fit
 from crosslist.market_data import InstrumentRecord, PriceSeries, RateSeries
@@ -88,24 +88,6 @@ class TestWindows:
             EventWindows(event=OffsetRange(lo, hi))
 
 
-class TestWindowValues:
-    def test_fill_missing_pads_with_nan(self):
-        values = np.array([1.0, 2.0, 3.0])
-        offsets = np.array([-2, 0, 1])
-        out = window_values(values, offsets, OffsetRange(-2, 2), fill_missing=True)
-        assert out.shape == (5,)
-        assert out[0] == 1.0 and np.isnan(out[1]) and out[2] == 2.0
-        assert np.isnan(out[4])
-
-    def test_out_of_data(self):
-        with pytest.raises(WindowOutOfData):
-            window_values(np.ones(3), np.array([5, 6, 7]), OffsetRange(-2, 2))
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(MisalignedOffsets):
-            window_values(np.ones(3), np.array([1, 2]), OffsetRange(0, 1))
-
-
 class TestAbnormalReturns:
     def test_zero_when_realized_equals_fitted(self):
         rng = np.random.default_rng(3)
@@ -120,24 +102,19 @@ class TestAbnormalReturns:
         # generator injects +2% on day 0; that injection is the oracle
         rng = np.random.default_rng(5)
         windows = EventWindows()
-        offsets = np.arange(windows.estimation.lo, windows.event.hi + 1)
-        T = offsets.shape[0]
+        day0 = -windows.estimation.lo  # the vectors run from day -105 to day 15
+        T = day0 + windows.event.hi + 1
         loc = rng.normal(0, 0.01, T)
         us = rng.normal(0, 0.01, T)
         sigma = 0.01
         coef = np.array([0.0, 0.6, 0.3])
         r = np.column_stack([np.ones(T), loc, us]) @ coef + sigma * rng.standard_normal(T)
-        r[offsets == 0] += 0.02
-        est = offsets <= windows.estimation.hi
+        r[day0] += 0.02
+        est = slice(0, windows.estimation.length)
+        ev = slice(day0 + windows.event.lo, T)
         fit = ols_fit(r[est], [loc[est], us[est]])
-        ar = abnormal_returns(
-            window_values(r, offsets, windows.event, fill_missing=True),
-            window_values(loc, offsets, windows.event, fill_missing=True),
-            window_values(us, offsets, windows.event, fill_missing=True),
-            fit.coefficients,
-        )
-        day0 = np.where(windows.event.offsets() == 0)[0][0]
-        assert ar[day0] == pytest.approx(0.02, abs=4 * sigma)
+        ar = abnormal_returns(r[ev], loc[ev], us[ev], fit.coefficients)
+        assert ar[-windows.event.lo] == pytest.approx(0.02, abs=4 * sigma)
 
     def test_nan_propagates(self):
         ar = abnormal_returns([np.nan, 0.01], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0, 1.0])
@@ -211,7 +188,6 @@ class TestAggregate:
         panel = aggregate(results, EventWindows())
         np.testing.assert_allclose(panel.aar, results[0].ar, rtol=1e-12)
         np.testing.assert_array_equal(panel.z, results[0].star)
-        assert np.all(panel.n_firms_by_day == 1)
 
     def test_car_additivity(self):
         rng = np.random.default_rng(17)
@@ -231,22 +207,15 @@ class TestAggregate:
             right = aar[split:].sum()
             assert left + right == pytest.approx(aar.sum(), abs=1e-12)
 
-    def test_weights_renormalize_on_missing_days(self):
+    def test_non_finite_ar_raises(self):
+        # every analysed firm has every event day, so a NaN is a fault, not a missing day
         rng = np.random.default_rng(23)
         results = simulate_panel(rng, n_firms=3)
-        ar = results[0].ar.copy()
-        star = results[0].star.copy()
-        ar[5] = np.nan
-        star[5] = np.nan
-        import dataclasses
-
-        results[0] = dataclasses.replace(results[0], ar=ar, star=star)
-        panel = aggregate(results, EventWindows())
-        assert panel.n_firms_by_day[5] == 2
-        assert np.isfinite(panel.aar[5])
-        w = np.array([r.weight for r in results[1:]])
-        expected = (w / w.sum()) @ np.array([results[1].ar[5], results[2].ar[5]])
-        assert panel.aar[5] == pytest.approx(expected, rel=1e-12)
+        for name in ("ar", "star"):
+            bad = getattr(results[0], name).copy()
+            bad[5] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                aggregate([replace(results[0], **{name: bad}), *results[1:]], EventWindows())
 
     def test_single_day_cz_collapse(self):
         rng = np.random.default_rng(29)
@@ -284,12 +253,11 @@ class TestVarianceRatioReport:
             pre_var=OffsetRange(-200, -15),
             post_var=OffsetRange(15, 200),
         )
-        offsets = np.arange(-200, 201)
         not_significant = 0
         n_seeds = 200
         for _ in range(n_seeds):
-            values = rng.normal(0, 0.02, offsets.shape[0])
-            report = variance_ratio_report({"X": (values, offsets)}, windows)
+            values = rng.normal(0, 0.02, 401)  # days -200..200
+            report = variance_ratio_report({"X": (values, 200)}, windows)
             row = report[0]
             assert row.error is None
             if not row.f_result.significant_5pct:
@@ -299,22 +267,20 @@ class TestVarianceRatioReport:
     def test_doubled_variance_detected(self):
         rng = np.random.default_rng(43)
         windows = EventWindows()
-        offsets = np.arange(-105, 106)
-        values = rng.normal(0, 0.02, offsets.shape[0])
-        values[offsets >= 15] = rng.normal(0, 0.02 * np.sqrt(2.0), (offsets >= 15).sum())
-        report = variance_ratio_report({"X": (values, offsets)}, windows)
+        values = rng.normal(0, 0.02, 211)  # days -105..105
+        values[105 + 15:] = rng.normal(0, 0.02 * np.sqrt(2.0), 91)
+        report = variance_ratio_report({"X": (values, 105)}, windows)
         row = report[0]
         assert row.f_result.ratio == pytest.approx(2.0, abs=0.9)
         assert row.f_result.significant_5pct
 
     def test_ratio_is_post_over_pre(self):
         windows = EventWindows()
-        offsets = np.arange(-105, 106)
         rng = np.random.default_rng(47)
-        values = rng.normal(0, 1.0, offsets.shape[0])
-        report = variance_ratio_report({"X": (values, offsets)}, windows)
-        pre = values[(offsets >= -105) & (offsets <= -15)]
-        post = values[(offsets >= 15) & (offsets <= 105)]
+        values = rng.normal(0, 1.0, 221)  # days -110..110
+        report = variance_ratio_report({"X": (values, 110)}, windows)
+        pre = values[110 - 105:110 - 15 + 1]
+        post = values[110 + 15:110 + 105 + 1]
         assert report[0].f_result.ratio == pytest.approx(
             post.var(ddof=1) / pre.var(ddof=1), rel=1e-12
         )
@@ -322,10 +288,9 @@ class TestVarianceRatioReport:
     def test_degenerate_firm_isolated(self):
         rng = np.random.default_rng(53)
         windows = EventWindows()
-        offsets = np.arange(-105, 106)
-        good = rng.normal(0, 0.02, offsets.shape[0])
-        flat = np.zeros(offsets.shape[0])
-        report = variance_ratio_report({"OK": (good, offsets), "FLAT": (flat, offsets)}, windows)
+        good = rng.normal(0, 0.02, 211)
+        flat = np.zeros(211)
+        report = variance_ratio_report({"OK": (good, 105), "FLAT": (flat, 105)}, windows)
         by_id = {row.firm_id: row for row in report}
         assert by_id["OK"].error is None
         assert by_id["FLAT"].error is not None
@@ -336,8 +301,8 @@ class TestVarianceRatioReport:
 class TestStudyFirm:
     def _panel_inputs(self, rng, effect=0.0):
         windows = EventWindows()
-        offsets = np.arange(-120, 121)
-        T = offsets.shape[0]
+        day0 = 120  # the vectors run from day -120 to day 120
+        T = 2 * day0 + 1
         loc = rng.normal(0, 0.01, T)
         us = rng.normal(0, 0.01, T)
         sim = simulate_garch(
@@ -354,37 +319,54 @@ class TestStudyFirm:
             us,
         )
         r = sim.values.copy()
-        r[offsets == 0] += effect
-        return r, loc, us, offsets, windows
+        r[day0] += effect
+        return r, loc, us, day0, windows
 
     def test_estimation_separation_and_shapes(self):
         rng = np.random.default_rng(59)
-        r, loc, us, offsets, windows = self._panel_inputs(rng)
-        result = study_firm("X", r, loc, us, offsets, windows, weight=1.0)
+        r, loc, us, day0, windows = self._panel_inputs(rng)
+        result = study_firm("X", r, loc, us, day0, windows, weight=1.0)
         assert result.ar.shape == (windows.event.length,)
         assert result.star.shape == (windows.event.length,)
         assert result.fit is not None
-        # the fitted coefficients must be reproducible from estimation data alone
-        est = (offsets >= windows.estimation.lo) & (offsets <= windows.estimation.hi)
-        refit = study_firm("X", r[est], loc[est], us[est], offsets[est], windows, weight=1.0)
-        np.testing.assert_allclose(
-            refit.fit.mean_coefficients, result.fit.mean_coefficients, rtol=1e-9
-        )
+        # no leakage: noise over every day after the estimation window leaves the fit as it was
+        after = day0 + windows.estimation.hi + 1
+        noise = np.random.default_rng(60)
+        noisy = [np.concatenate([v[:after], noise.normal(0, 0.02, v.shape[0] - after)]) for v in (r, loc, us)]
+        refit = study_firm("X", *noisy, day0, windows, weight=1.0)
+        assert refit.fit.spec == result.fit.spec
+        np.testing.assert_array_equal(refit.fit.mean_coefficients, result.fit.mean_coefficients)
+        np.testing.assert_array_equal(refit.fit.ols.coefficients, result.fit.ols.coefficients)
+        assert refit.diagnostics == result.diagnostics
+        assert not np.array_equal(refit.ar, result.ar)
 
     def test_insufficient_estimation_window(self):
         rng = np.random.default_rng(61)
-        r, loc, us, offsets, windows = self._panel_inputs(rng)
-        keep = offsets >= -50
-        with pytest.raises(WindowOutOfData):
-            study_firm("X", r[keep], loc[keep], us[keep], offsets[keep], windows, weight=1.0)
+        r, loc, us, day0, windows = self._panel_inputs(rng)
+        keep = slice(day0 - 50, None)  # days -50..120
+        with pytest.raises(WindowOutOfData, match=r"coverage \[-50, 120\] does not span \[-105, -15\]"):
+            study_firm("X", r[keep], loc[keep], us[keep], 50, windows, weight=1.0)
+
+    def test_uncovered_event_window(self):
+        rng = np.random.default_rng(63)
+        r, loc, us, day0, windows = self._panel_inputs(rng)
+        keep = slice(None, day0 + 10)  # days -120..9
+        with pytest.raises(WindowOutOfData, match=r"coverage \[-120, 9\] does not span \[-15, 15\]"):
+            study_firm("X", r[keep], loc[keep], us[keep], day0, windows, weight=1.0)
+
+    def test_mismatched_lengths(self):
+        rng = np.random.default_rng(65)
+        r, loc, us, day0, windows = self._panel_inputs(rng)
+        with pytest.raises(MisalignedOffsets):
+            study_firm("X", r, loc[:-1], us, day0, windows, weight=1.0)
 
     def test_day0_shock_shows_in_ar(self):
         rng = np.random.default_rng(67)
-        r, loc, us, offsets, windows = self._panel_inputs(rng, effect=0.05)
-        result = study_firm("X", r, loc, us, offsets, windows, weight=1.0)
-        day0 = np.where(windows.event.offsets() == 0)[0][0]
-        assert result.ar[day0] == pytest.approx(0.05, abs=0.08)
-        assert abs(result.star[day0]) > abs(result.ar[day0]) / 0.2
+        r, loc, us, day0, windows = self._panel_inputs(rng, effect=0.05)
+        result = study_firm("X", r, loc, us, day0, windows, weight=1.0)
+        at0 = -windows.event.lo  # day 0's place in the event window
+        assert result.ar[at0] == pytest.approx(0.05, abs=0.08)
+        assert abs(result.star[at0]) > abs(result.ar[at0]) / 0.2
 
 
 class TestRunEventStudy:
@@ -447,6 +429,35 @@ class TestRunEventStudy:
             np.testing.assert_array_equal(getattr(study.panel, field.name), getattr(expected, field.name))
         assert [row.firm_id for row in study.variance] == analyzed
         assert study.windows is windows and study.usd is False
+
+    def test_variance_windows_must_be_covered(self):
+        # a pre-variance window that runs past the event window: F01 and F02
+        # cover its start but not its end, so they are skipped, not tested on
+        # a shortened window
+        windows = EventWindows(pre_var=OffsetRange(-105, 160))
+        records, sse, nyse, prices = simulate_bundle(3, 300, 0.0, 5)
+        study = run_event_study(records, prices, sse, nyse, None, windows)
+        assert {firm_id: str(exc) for firm_id, exc in study.skipped.items()} == {
+            "F01": "coverage [-150, 148] does not span [-105, 160]",
+            "F02": "coverage [-170, 128] does not span [-105, 160]",
+        }
+        assert [res.firm_id for res in study.firms] == ["F00"]
+        (row,) = study.variance
+        assert (row.firm_id, row.f_result.df_num, row.f_result.df_den) == ("F00", 90, 265)
+
+    def test_firm_with_no_returns_is_skipped(self):
+        # one close after the listing gives no returns: an empty coverage, a skip and no crash
+        records, load_prices, sse, nyse = self._inputs()
+
+        def one_close(rec):
+            series = load_prices(rec)
+            return PriceSeries(rec.n_code, series.dates[-1:], series.closes[-1:])
+
+        study = run_event_study(records[:1], one_close, sse, nyse, None, EventWindows())
+        assert {firm_id: str(exc) for firm_id, exc in study.skipped.items()} == {
+            "A": "coverage [1, 0] does not span [-105, 105]"
+        }
+        assert study.panel is None
 
     def test_every_firm_skipped_leaves_no_panel(self):
         records, _, sse, nyse = self._inputs()

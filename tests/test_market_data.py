@@ -511,24 +511,24 @@ class TestEventFrame:
         return align([series]), dates
 
     def test_event_on_panel_date(self):
+        # day 0 is the event's position, so the panel's days count -49..50 in panel order
         panel, dates = self._panel(100)
-        offsets = build_event_frame(panel, dates[49])
-        assert offsets.dtype == np.int64 and offsets.shape == (100,)
-        assert offsets[49] == 0
-        assert offsets[48] == -1
-        assert offsets[50] == 1
+        day0 = build_event_frame(panel, dates[49])
+        assert type(day0) is int and day0 == 49
+        assert build_event_frame(panel, dates[0]) == 0
+        assert build_event_frame(panel, dates[-1]) == 99
 
     def test_weekend_event_rolls_forward(self):
         panel, dates = self._panel(20)
         saturday = date(2006, 1, 14)
         assert saturday.weekday() == 5
-        offsets = build_event_frame(panel, saturday)
-        assert offsets[panel.common_dates.tolist().index(date(2006, 1, 16))] == 0
+        day0 = build_event_frame(panel, saturday)
+        assert panel.common_dates.tolist()[day0] == date(2006, 1, 16)
 
     def test_211_day_panel_covers_symmetric_window(self):
         panel, dates = self._panel(211)
-        offsets = build_event_frame(panel, dates[105])
-        assert sorted(offsets.tolist()) == list(range(-105, 106))
+        day0 = build_event_frame(panel, dates[105])
+        assert (-day0, len(panel.common_dates) - 1 - day0) == (-105, 105)
 
     def test_event_after_panel_end(self):
         panel, dates = self._panel(10)
@@ -541,12 +541,6 @@ class TestEventFrame:
         with pytest.raises(EventAfterPanelEnd) as caught:
             build_event_frame(panel, date(1000, 1, 3))
         assert str(caught.value) == "event date 1000-01-03 is after the last panel date 0999-12-31"
-
-    def test_offsets_are_consecutive(self):
-        panel, dates = self._panel(37)
-        offsets = build_event_frame(panel, dates[11]).tolist()
-        assert offsets == list(range(-11, 26))
-        assert sum(1 for v in offsets if v == 0) == 1
 
 
 class TestPriceSeriesInvariants:

@@ -18,8 +18,8 @@ def test_library_block_runs_on_a_simulated_bundle(tmp_path, monkeypatch):
     monkeypatch.chdir(bundle)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    panel, offsets = namespace["panel"], namespace["offsets"]
-    assert offsets.shape == (len(panel.common_dates),)
+    panel, day0, firm = namespace["panel"], namespace["day0"], namespace["firm"]
+    assert panel.common_dates[day0] >= np.datetime64(firm.us_listing_date, "D")
     assert namespace["result"].firm_id == "F00"
     study, records = namespace["study"], namespace["records"]
     assert len(study.firms) + len(study.skipped) == len(records)
