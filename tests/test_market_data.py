@@ -542,6 +542,15 @@ class TestEventFrame:
             build_event_frame(panel, date(1000, 1, 3))
         assert str(caught.value) == "event date 1000-01-03 is after the last panel date 0999-12-31"
 
+    def test_offsets_are_consecutive(self):
+        # event time is position minus day 0: a 37-day panel counts -11..25 with one day 0
+        panel, dates = self._panel(37)
+        day0 = build_event_frame(panel, dates[11])
+        offsets = [i - day0 for i in range(len(panel.common_dates))]
+        assert offsets == list(range(-11, 26))
+        assert sum(1 for v in offsets if v == 0) == 1
+        assert panel.common_dates.tolist()[day0] == dates[11]
+
 
 class TestPriceSeriesInvariants:
     def test_non_increasing_dates_rejected(self):
