@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import gc
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -23,42 +21,34 @@ from pathlib import Path
 import numpy as np
 
 from . import market_data
-from .errors import CrosslistError, NonPositivePrice
+from .errors import ConfigError, CrosslistError
 from .event_study import (
-    EventStudyResult,
     EventWindows,
     OffsetRange,
-    Z_CRITICAL_5PCT,
+    _fmt,
+    _write_csv,
     run_event_study,
+    write_event_reports,
 )
-from .garch import GarchSimConfig, GarchSpec, MAX_VARIANCE_LAGS, simulate_garch
+from .garch import MAX_VARIANCE_LAGS, simulate_bundle
 from .linear_models import (
     capm_expected_return,
     classify_durbin_watson,
     durbin_watson,
     ols_fit,
 )
-from .market_data import InstrumentRecord, PriceSeries, align
-from .stats_core import ReturnSeries
+from .market_data import PriceSeries, align
 
 # Move everything that exists once numpy and scipy are imported into the
 # permanent generation, so the collections run as the interpreter exits skip
 # those objects instead of tearing them down (about 0.13 s of a cold run).
 # Done once at import, not in `main`, which tests and tracers call repeatedly.
+# Only CLI processes import this module; `import crosslist` never freezes.
 gc.freeze()
 
 PERIODS_PER_YEAR = {"monthly": 12, "daily": 252}
 
-CAPM_CSV_HEADER = (
-    "class,alpha,alpha_se,alpha_t,beta,beta_se,beta_t,dw,expected_return"
-)
-EVENT_CSV_HEADER = "offset,aar,car,z,significant"
-VARIANCE_CSV_HEADER = "firm,ratio,f_stat,p_value,significant"
-COEFFICIENTS_CSV_HEADER = "code,r_const,r_sse,r_nyse,arch_lags,garch_lags,weight"
-
-
-class ConfigError(CrosslistError):
-    pass
+CAPM_CSV_HEADER = "class,alpha,alpha_se,alpha_t,beta,beta_se,beta_t,dw,expected_return"
 
 
 @dataclass
@@ -153,23 +143,6 @@ def load_config(path: str | Path) -> RunConfig:
         )
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _fmt(value) -> str:
-    """Report numbers at nine significant digits with a decimal point, booleans as true/false."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header.split(","))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _say(message: str) -> None:
@@ -346,63 +319,6 @@ def cmd_capm(config: RunConfig) -> int:
 # event-study
 # --------------------------------------------------------------------------
 
-def write_event_reports(result: EventStudyResult, out_dir: Path) -> None:
-    """Write the four reports under out_dir; a study with no panel raises ValueError and creates nothing."""
-    panel = result.panel
-    if panel is None:
-        raise ValueError("no event-study reports to write: every firm was skipped")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "coefficients.csv", COEFFICIENTS_CSV_HEADER, (
-        [res.firm_id, *res.fit.mean_coefficients.tolist(), res.fit.spec.q, res.fit.spec.p, res.weight]
-        for res in result.firms
-    ))
-
-    # Python numbers throughout, so the significance cell is a bool, never np.bool_
-    _write_csv(out_dir / "event.csv", EVENT_CSV_HEADER, (
-        [offset, aar, car, z, abs(z) > Z_CRITICAL_5PCT]
-        for offset, aar, car, z in zip(
-            panel.offsets.tolist(), panel.aar.tolist(), panel.car.tolist(), panel.z.tolist()
-        )
-    ))
-
-    _write_csv(out_dir / "variance.csv", VARIANCE_CSV_HEADER, (
-        [row.firm_id, "nan", "nan", "nan", "error"] if row.error is not None else [
-            row.firm_id,
-            float(row.f_result.ratio),
-            float(row.f_result.ratio),
-            float(row.f_result.p_value),
-            bool(row.f_result.significant_5pct),
-        ]
-        for row in result.variance
-    ))
-
-    day0 = -result.windows.event.lo  # the panel's offsets run over the event window, which holds day 0
-    summary = {
-        "n_firms_analyzed": len(result.firms),
-        "n_firms_skipped": len(result.skipped),
-        "skipped": {firm_id: str(exc) for firm_id, exc in result.skipped.items()},
-        "currency_mode": "usd" if result.usd else "local-currency",
-        "day0_aar": float(panel.aar[day0]),
-        "day0_z": float(panel.z[day0]),
-        "day0_significant_5pct": bool(abs(panel.z[day0]) > Z_CRITICAL_5PCT),
-        "cz_full_window": panel.cz_full_window,
-        "car_full_window": float(panel.car[-1]),
-        "windows": {name: [window.lo, window.hi] for name, window in vars(result.windows).items()},
-        "diagnostics": {
-            res.firm_id: {
-                "dw": res.diagnostics.dw_statistic,
-                "bg_p_value": res.diagnostics.bg_p_value,
-                "heteroskedastic_5pct": res.diagnostics.heteroskedastic_5pct,
-                "converged": res.fit.converged,
-            }
-            for res in result.firms
-        },
-    }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def cmd_event_study(config: RunConfig) -> int:
     """Run the event study over the manifest and write the four reports."""
     if config.manifest_path is None or config.local_index_path is None or config.us_index_path is None:
@@ -439,88 +355,6 @@ def cmd_event_study(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
-
-_INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Telecom")
-# business days from 2006-01-02, the first simulated date, through 9999-12-31,
-# the last date `datetime.date` holds: np.busday_count("2006-01-02", "10000-01-01")
-MAX_SIM_DAYS = 2_085_535
-
-
-def _prices_from_returns(first_close: float, returns: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # an overflow to inf fails PriceSeries's check instead
-        return first_close * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
-
-
-def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
-    """A synthetic bundle in memory, as `(records, local_index, us_index, prices)`.
-
-    Firms follow the two-index market model with GARCH(1,1) errors; `effect`
-    is added to each firm's return on its listing day.  `prices(record)`
-    simulates that firm's closes, the same on every call, from a seed drawn
-    here.  Bad settings raise ConfigError; a firm whose closes leave the
-    floating-point range raises it only when `prices` is called for it.
-    """
-    if n_firms < 1:
-        raise ConfigError(f"need at least 1 firm, got {n_firms}")
-    if not 3 <= n_days <= MAX_SIM_DAYS:
-        raise ConfigError(f"days must be in [3, {MAX_SIM_DAYS}], got {n_days}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not math.isfinite(effect):
-        raise ConfigError(f"effect must be finite, got {effect}")
-    rng = np.random.default_rng(seed)
-    # the first `n_days` business days from 2006-01-02, as `datetime64[D]`
-    dates = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
-    n_returns = n_days - 1
-
-    # dated index returns: `simulate_garch` takes their dates rather than building a grid per firm
-    loc_ret = ReturnSeries("sse", dates[1:], 0.0002 + 0.012 * rng.standard_normal(n_returns))
-    us_ret = ReturnSeries("nyse", dates[1:], 0.0002 + 0.010 * rng.standard_normal(n_returns))
-    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret.values))
-    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret.values))
-
-    # each firm simulates from its own seed, so drawing every firm's settings
-    # first leaves the bundle generator's sequence as one loop would draw it
-    lo = min(106, n_days - 1)
-    hi = max(n_days - 106, lo)
-    records = []
-    firms = {}
-    for i in range(n_firms):
-        n_code = f"F{i:02d}"
-        beta = (float(rng.normal(0.0, 2e-4)), float(rng.uniform(0.4, 1.2)), float(rng.uniform(0.1, 0.6)))
-        sigma = float(rng.uniform(0.012, 0.025))
-        alpha1, gamma1 = 0.08, 0.85
-        event_idx = int(rng.integers(lo, hi + 1))
-        firms[n_code] = event_idx, GarchSimConfig(
-            spec=GarchSpec(1, 1),
-            true_mean_coefficients=beta,
-            true_alpha0=sigma**2 * (1.0 - alpha1 - gamma1),
-            true_alphas=(alpha1,),
-            true_gammas=(gamma1,),
-            length=n_returns,
-            seed=int(rng.integers(0, 2**63)),
-            instrument_id=n_code,
-        )
-        # the manifest's columns, in order
-        records.append(InstrumentRecord(
-            f"Firm {i:02d}", str(600100 + i), n_code, _INDUSTRIES[i % len(_INDUSTRIES)],
-            float(rng.uniform(2e9, 2.4e11)), dates[event_idx].item(), dates[0].item(), f"prices_{n_code}.csv",
-        ))
-
-    def prices(rec: InstrumentRecord) -> PriceSeries:
-        event_idx, sim_config = firms[rec.n_code]
-        returns = simulate_garch(sim_config, loc_ret, us_ret).values.copy()
-        returns[event_idx - 1] += effect
-        try:
-            return PriceSeries(rec.n_code, dates, _prices_from_returns(50.0, returns))
-        except NonPositivePrice:
-            raise ConfigError(
-                f"firm {rec.n_code}'s simulated closes leave the floating-point range "
-                f"(effect = {effect!r}, days = {n_days})"
-            ) from None
-
-    return records, local_index, us_index, prices
-
 
 def generate_bundle(out_dir: Path, n_firms: int, n_days: int, effect: float, seed: int) -> None:
     """Write `simulate_bundle`'s indexes, firm prices, manifest and run.ini under out_dir.

@@ -5,6 +5,10 @@ class CrosslistError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(CrosslistError):
+    """A bad setting: in the config file, a flag, or a synthetic bundle's size, seed or effect."""
+
+
 # --- manifest / price-file ingestion ---------------------------------------
 
 class MissingField(CrosslistError):

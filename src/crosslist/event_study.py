@@ -8,11 +8,15 @@ time, skipping a firm that fails; `aggregate` is a deterministic reduction
 over the per-firm results.  Event time counts a firm's own aligned trading
 days, so its return vectors are consecutive in event time and every
 window is a slice of them around the position of day 0.
+`write_event_reports` writes a study's four report files.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,12 +29,16 @@ from .errors import (
     UnknownFirm,
     WindowOutOfData,
 )
-from .garch import GarchFit, select_lags
+from .garch import MIN_OBSERVATIONS, GarchFit, select_lags
 from .linear_models import DiagnosticsReport, OlsFit, diagnostics_report, prediction_se
 from .market_data import InstrumentRecord, PriceSeries, RateSeries
 from .stats_core import FTestResult, variance_f_test
 
 Z_CRITICAL_5PCT = 1.96
+
+EVENT_CSV_HEADER = "offset,aar,car,z,significant"
+VARIANCE_CSV_HEADER = "firm,ratio,f_stat,p_value,significant"
+COEFFICIENTS_CSV_HEADER = "code,r_const,r_sse,r_nyse,arch_lags,garch_lags,weight"
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,6 @@ DEFAULT_EVENT = OffsetRange(-15, 15)
 DEFAULT_PRE_VAR = OffsetRange(-105, -15)
 DEFAULT_POST_VAR = OffsetRange(15, 105)
 
-MIN_ESTIMATION_LENGTH = 30
-
 
 @dataclass(frozen=True)
 class EventWindows:
@@ -72,11 +78,8 @@ class EventWindows:
     def __post_init__(self) -> None:
         if self.estimation.hi >= 0:
             raise ValueError("the estimation window must end before day 0")
-        if self.estimation.length < MIN_ESTIMATION_LENGTH:
-            raise ValueError(
-                f"estimation window must span >= {MIN_ESTIMATION_LENGTH} days, "
-                f"got {self.estimation.length}"
-            )
+        if self.estimation.length < MIN_OBSERVATIONS:  # the market-model fit's minimum
+            raise ValueError(f"estimation window must span >= {MIN_OBSERVATIONS} days, got {self.estimation.length}")
         if not self.event.lo <= 0 <= self.event.hi:
             raise ValueError("the event window must contain day 0")
 
@@ -362,3 +365,77 @@ def run_event_study(
         windows=windows,
         usd=usd,
     )
+
+
+def _fmt(value) -> str:
+    """Report numbers at nine significant digits with a decimal point, booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header.split(","))
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def write_event_reports(result: EventStudyResult, out_dir: Path) -> None:
+    """Write the four reports under out_dir; a study with no panel raises ValueError and creates nothing."""
+    panel = result.panel
+    if panel is None:
+        raise ValueError("no event-study reports to write: every firm was skipped")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "coefficients.csv", COEFFICIENTS_CSV_HEADER, (
+        [res.firm_id, *res.fit.mean_coefficients.tolist(), res.fit.spec.q, res.fit.spec.p, res.weight]
+        for res in result.firms
+    ))
+
+    # Python numbers throughout, so the significance cell is a bool, never np.bool_
+    _write_csv(out_dir / "event.csv", EVENT_CSV_HEADER, (
+        [offset, aar, car, z, abs(z) > Z_CRITICAL_5PCT]
+        for offset, aar, car, z in zip(
+            panel.offsets.tolist(), panel.aar.tolist(), panel.car.tolist(), panel.z.tolist()
+        )
+    ))
+
+    _write_csv(out_dir / "variance.csv", VARIANCE_CSV_HEADER, (
+        [row.firm_id, "nan", "nan", "nan", "error"] if row.error is not None else [
+            row.firm_id,
+            float(row.f_result.ratio),
+            float(row.f_result.ratio),
+            float(row.f_result.p_value),
+            bool(row.f_result.significant_5pct),
+        ]
+        for row in result.variance
+    ))
+
+    day0 = -result.windows.event.lo  # the panel's offsets run over the event window, which holds day 0
+    summary = {
+        "n_firms_analyzed": len(result.firms),
+        "n_firms_skipped": len(result.skipped),
+        "skipped": {firm_id: str(exc) for firm_id, exc in result.skipped.items()},
+        "currency_mode": "usd" if result.usd else "local-currency",
+        "day0_aar": float(panel.aar[day0]),
+        "day0_z": float(panel.z[day0]),
+        "day0_significant_5pct": bool(abs(panel.z[day0]) > Z_CRITICAL_5PCT),
+        "cz_full_window": panel.cz_full_window,
+        "car_full_window": float(panel.car[-1]),
+        "windows": {name: [window.lo, window.hi] for name, window in vars(result.windows).items()},
+        "diagnostics": {
+            res.firm_id: {
+                "dw": res.diagnostics.dw_statistic,
+                "bg_p_value": res.diagnostics.bg_p_value,
+                "heteroskedastic_5pct": res.diagnostics.heteroskedastic_5pct,
+                "converged": res.fit.converged,
+            }
+            for res in result.firms
+        },
+    }
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
+        f.write("\n")

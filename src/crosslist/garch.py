@@ -20,6 +20,9 @@ run in the buffers of one `_Likelihood` per fit and scale, which the
 optimizer, the face check and the Hessian share.
 Returns are rescaled to unit residual variance internally and mapped back,
 which keeps the optimizer's tolerances scale-free.
+
+`simulate_garch` simulates the model from a known process, the verification
+oracle, and `simulate_bundle` a whole synthetic data bundle from it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import OptimizeResult, minimize
 
-from .errors import NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
+from .errors import ConfigError, NonFiniteLikelihood, NonPositivePrice, NonStationaryParameters, SeriesTooShort
 from .linear_models import OlsFit, ols_fit
+from .market_data import InstrumentRecord, PriceSeries
 from .stats_core import ReturnSeries
 
 MAX_VARIANCE_LAGS = 2
@@ -462,9 +466,9 @@ def _bfgs(fun, x0, *, gtol, maxiter, **_):
 def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec()) -> GarchFit:
     """Maximum-likelihood fit of the two-index market model with GARCH errors.
 
-    Inputs may be ReturnSeries or plain arrays; all three must be aligned
-    and of equal length >= 60.  With p = q = 0 the result is the exact
-    homoskedastic MLE (OLS coefficients, constant variance RSS/n).
+    The three arrays must be aligned and of equal length >= 60.  With
+    p = q = 0 the result is the exact homoskedastic MLE (OLS coefficients,
+    constant variance RSS/n).
 
     Otherwise BFGS with the analytic score maximizes the likelihood from a
     fixed start.  One second run follows when the first stops trapped on a
@@ -475,14 +479,9 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     transformed-parameter score at the returned point is at most 1e-4; a
     fit that stops short is still returned, with converged=False.
     """
-    yv = _series_values(y)
-    loc = _series_values(local_index)
-    us = _series_values(us_index)
+    yv, loc, us = (np.asarray(v, dtype=float).ravel() for v in (y, local_index, us_index))
     if not (yv.shape[0] == loc.shape[0] == us.shape[0]):
         raise ValueError("y, local_index, and us_index must have equal length")
-    if all(isinstance(s, ReturnSeries) for s in (y, local_index, us_index)):
-        if not (np.array_equal(y.dates, local_index.dates) and np.array_equal(y.dates, us_index.dates)):
-            raise ValueError("series dates are not aligned")
     n = yv.shape[0]
     if n < MIN_OBSERVATIONS:
         raise SeriesTooShort(f"need >= {MIN_OBSERVATIONS} observations, got {n}")
@@ -667,6 +666,88 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSerie
     else:
         dates = np.busday_offset(np.datetime64("2001-01-01"), np.arange(T), roll="forward")
     return ReturnSeries(instrument_id=config.instrument_id, dates=dates, values=X @ beta + np.array(eps))
+
+
+_INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Telecom")
+# business days from 2006-01-02, the first simulated date, through 9999-12-31,
+# the last date `datetime.date` holds: np.busday_count("2006-01-02", "10000-01-01")
+MAX_SIM_DAYS = 2_085_535
+
+
+def _prices_from_returns(first_close: float, returns: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # an overflow to inf fails PriceSeries's check instead
+        return first_close * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+
+
+def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
+    """A synthetic bundle in memory, as `(records, local_index, us_index, prices)`.
+
+    Firms follow the two-index market model with GARCH(1,1) errors; `effect`
+    is added to each firm's return on its listing day.  `prices(record)`
+    simulates that firm's closes, the same on every call, from a seed drawn
+    here.  Bad settings raise ConfigError; a firm whose closes leave the
+    floating-point range raises it only when `prices` is called for it.
+    """
+    if n_firms < 1:
+        raise ConfigError(f"need at least 1 firm, got {n_firms}")
+    if not 3 <= n_days <= MAX_SIM_DAYS:
+        raise ConfigError(f"days must be in [3, {MAX_SIM_DAYS}], got {n_days}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(effect):
+        raise ConfigError(f"effect must be finite, got {effect}")
+    rng = np.random.default_rng(seed)
+    # the first `n_days` business days from 2006-01-02, as `datetime64[D]`
+    dates = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
+    n_returns = n_days - 1
+
+    # dated index returns: `simulate_garch` takes their dates rather than building a grid per firm
+    loc_ret = ReturnSeries("sse", dates[1:], 0.0002 + 0.012 * rng.standard_normal(n_returns))
+    us_ret = ReturnSeries("nyse", dates[1:], 0.0002 + 0.010 * rng.standard_normal(n_returns))
+    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret.values))
+    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret.values))
+
+    # each firm simulates from its own seed, so drawing every firm's settings
+    # first leaves the bundle generator's sequence as one loop would draw it
+    lo = min(106, n_days - 1)
+    hi = max(n_days - 106, lo)
+    records = []
+    firms = {}
+    for i in range(n_firms):
+        n_code = f"F{i:02d}"
+        beta = (float(rng.normal(0.0, 2e-4)), float(rng.uniform(0.4, 1.2)), float(rng.uniform(0.1, 0.6)))
+        sigma = float(rng.uniform(0.012, 0.025))
+        alpha1, gamma1 = 0.08, 0.85
+        event_idx = int(rng.integers(lo, hi + 1))
+        firms[n_code] = event_idx, GarchSimConfig(
+            spec=GarchSpec(1, 1),
+            true_mean_coefficients=beta,
+            true_alpha0=sigma**2 * (1.0 - alpha1 - gamma1),
+            true_alphas=(alpha1,),
+            true_gammas=(gamma1,),
+            length=n_returns,
+            seed=int(rng.integers(0, 2**63)),
+            instrument_id=n_code,
+        )
+        # the manifest's columns, in order
+        records.append(InstrumentRecord(
+            f"Firm {i:02d}", str(600100 + i), n_code, _INDUSTRIES[i % len(_INDUSTRIES)],
+            float(rng.uniform(2e9, 2.4e11)), dates[event_idx].item(), dates[0].item(), f"prices_{n_code}.csv",
+        ))
+
+    def prices(rec: InstrumentRecord) -> PriceSeries:
+        event_idx, sim_config = firms[rec.n_code]
+        returns = simulate_garch(sim_config, loc_ret, us_ret).values.copy()
+        returns[event_idx - 1] += effect
+        try:
+            return PriceSeries(rec.n_code, dates, _prices_from_returns(50.0, returns))
+        except NonPositivePrice:
+            raise ConfigError(
+                f"firm {rec.n_code}'s simulated closes leave the floating-point range "
+                f"(effect = {effect!r}, days = {n_days})"
+            ) from None
+
+    return records, local_index, us_index, prices
 
 
 def unconditional_variance(fit: GarchFit) -> float:

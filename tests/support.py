@@ -6,7 +6,7 @@ the panel simulator builds event panels from first principles (known
 coefficients, homoskedastic Gaussian noise) so calibration statistics
 have known distributions.  `null_rejections` runs the whole pipeline on
 seeded null bundles in memory and counts its 5% rejections, with exact
-binomial bounds.
+binomial bounds.  `fresh_python` runs code in a new interpreter.
 """
 
 from __future__ import annotations
@@ -14,13 +14,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import mpmath as mp
 from scipy.special import betaincinv
 
-from crosslist.cli import simulate_bundle
+import crosslist
 from crosslist.event_study import (
     EventWindows,
     FirmEventResult,
@@ -29,7 +33,7 @@ from crosslist.event_study import (
     run_event_study,
     standardize,
 )
-from crosslist.garch import _LOG_2PI, _variance_filter
+from crosslist.garch import _LOG_2PI, _variance_filter, simulate_bundle
 from crosslist.linear_models import ols_fit
 from crosslist.market_data import PRICE_COLUMNS
 
@@ -256,3 +260,11 @@ def garch_loglik_reference(params, y, X, q, p, h0, score=False):
     grad = (0.5 * (z2 - 1.0) / h) @ D
     grad[:3] += (eps / h) @ X
     return ll, grad
+
+
+def fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
+    """`python ARGS` in a new interpreter that imports this checkout's crosslist."""
+    src = str(Path(crosslist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)

@@ -5,26 +5,16 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import crosslist
-from crosslist.cli import (
-    MAX_SIM_DAYS,
-    ConfigError,
-    generate_bundle,
-    load_config,
-    main,
-    simulate_bundle,
-    write_event_reports,
-)
-from crosslist.event_study import EventWindows, OffsetRange, run_event_study, study_firm
-from crosslist.garch import GarchSpec, fit_garch_market_model
+from crosslist.cli import generate_bundle, load_config, main
+from crosslist.errors import ConfigError
+from crosslist.event_study import EventWindows, OffsetRange, run_event_study, study_firm, write_event_reports
+from crosslist.garch import MAX_SIM_DAYS, GarchSpec, fit_garch_market_model, simulate_bundle
 from crosslist.linear_models import diagnostics_report, ols_fit
 from crosslist.market_data import (
     MANIFEST_COLUMNS,
@@ -36,6 +26,7 @@ from crosslist.market_data import (
     write_prices,
 )
 
+from .support import fresh_python
 from .test_market_data import weekday_dates
 
 
@@ -185,13 +176,6 @@ class TestSimulateBundle:
         records, _, _, prices = simulate_bundle(2, 300, 1e6, 1)
         with pytest.raises(ConfigError, match="firm F00's simulated closes leave the floating-point range"):
             prices(records[0])
-
-def fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
-    """`python ARGS` in a new interpreter that imports this checkout's crosslist."""
-    src = str(Path(crosslist.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
 
 
 class TestImportFootprint:
@@ -669,6 +653,26 @@ class TestEventStudy:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert err[0].endswith("the event window must contain day 0")
         assert "Traceback" not in captured.err
+        assert not reports.exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_short_estimation_window_is_config_error(self, tmp_path, capsys, source):
+        # below the fit's 60 observations every firm would be skipped; the
+        # window is refused instead, before any fit, naming where it came from
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=3)
+        reports = tmp_path / "reports"
+        argv = ["event-study", "--config", str(out / "run.ini"), "--out", str(reports)]
+        if source == "config":
+            with open(out / "run.ini", "a", encoding="utf-8") as f:
+                f.write("\n[windows]\nestimation = -50,-15\n")
+            expected = f"error: {out / 'run.ini'}: estimation window must span >= 60 days, got 36"
+        else:
+            argv.append("--windows=-73,-15,-15,15")
+            expected = "error: --windows: estimation window must span >= 60 days, got 59"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected + "\n")
         assert not reports.exists()
 
     def test_fx_mode_flagged(self, tmp_path):

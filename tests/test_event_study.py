@@ -26,8 +26,7 @@ from crosslist.event_study import (
     study_firm,
     variance_ratio_report,
 )
-from crosslist.cli import simulate_bundle
-from crosslist.garch import GarchSimConfig, GarchSpec, simulate_garch
+from crosslist.garch import MIN_OBSERVATIONS, GarchSimConfig, GarchSpec, simulate_bundle, simulate_garch
 from crosslist.linear_models import ols_fit
 from crosslist.market_data import InstrumentRecord, PriceSeries, RateSeries
 
@@ -77,6 +76,10 @@ class TestWindows:
     def test_estimation_minimum_length(self):
         with pytest.raises(ValueError):
             EventWindows(estimation=OffsetRange(-30, -15), pre_var=OffsetRange(-30, -15))
+        # the fit's minimum: a shorter window would pass here and then fail every firm's fit
+        with pytest.raises(ValueError, match=f"estimation window must span >= {MIN_OBSERVATIONS} days, got 59"):
+            EventWindows(estimation=OffsetRange(-73, -15))
+        assert EventWindows(estimation=OffsetRange(-74, -15)).estimation.length == MIN_OBSERVATIONS == 60
 
     def test_unordered_range(self):
         with pytest.raises(ValueError):
