@@ -75,9 +75,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.period not in PERIODS_PER_YEAR:
-            raise ConfigError(f"capm period must be one of {sorted(PERIODS_PER_YEAR)}, got {self.period!r}")
-        if not (1 <= self.max_p <= MAX_VARIANCE_LAGS and 1 <= self.max_q <= MAX_VARIANCE_LAGS):
-            raise ConfigError(f"garch max_p/max_q must be in [1, {MAX_VARIANCE_LAGS}]")
+            raise ConfigError(f"capm.period must be one of {sorted(PERIODS_PER_YEAR)}, got {self.period!r}")
+        for key, v in (("garch.max_p", self.max_p), ("garch.max_q", self.max_q)):
+            if not 1 <= v <= MAX_VARIANCE_LAGS:
+                raise ConfigError(f"{key} must be in [1, {MAX_VARIANCE_LAGS}], got {v}")
 
 
 def _parse_ints(text: str, count: int, key: str) -> list[int]:
@@ -121,7 +122,7 @@ def load_config(path: str | Path) -> RunConfig:
         windows = EventWindows(**windows_kwargs)
         output_dir = parser.get("run", "output_dir", fallback="out").strip()
         if not output_dir:  # it would be the config's own directory, where `simulate` replaces run.ini
-            raise ConfigError(f"{path}: run.output_dir must not be empty")
+            raise ConfigError("run.output_dir must not be empty")
         return RunConfig(
             manifest_path=_path("data", "manifest"),
             local_index_path=_path("data", "local_index"),
@@ -141,7 +142,7 @@ def load_config(path: str | Path) -> RunConfig:
             sim_days=parser.getint("simulate", "days", fallback=300),
             sim_effect=parser.getfloat("simulate", "effect", fallback=0.0),
         )
-    except (ValueError, configparser.Error) as exc:
+    except (ValueError, configparser.Error, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -260,7 +261,6 @@ def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float
     # an exact fit makes the statistic 0/0; any other fit has nonzero residuals
     dw = float("nan") if fit.s2 == 0.0 else durbin_watson(fit.residuals)
     market_mean = float(np.mean(x))
-    capm = capm_expected_return(float(fit.betas[0]), rf, market_mean)
     se = fit.std_errors
     t = fit.t_stats
     return [
@@ -268,7 +268,7 @@ def _capm_class_row(label: str, prices_path: Path, index: PriceSeries, rf: float
         fit.alpha, float(se[0]), float(t[0]),
         float(fit.betas[0]), float(se[1]), float(t[1]),
         dw,
-        capm.expected_return,
+        capm_expected_return(float(fit.betas[0]), rf, market_mean),
     ]
 
 
@@ -430,7 +430,11 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"--windows: {exc}") from None
     if args.max_lags is not None:
-        changes["max_p"], changes["max_q"] = _parse_ints(args.max_lags, 2, "--max-lags")
+        max_p, max_q = _parse_ints(args.max_lags, 2, "--max-lags")
+        try:
+            config = replace(config, max_p=max_p, max_q=max_q)
+        except ConfigError as exc:
+            raise ConfigError(f"--max-lags: {exc}") from None
     return replace(config, **changes)
 
 

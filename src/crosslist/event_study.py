@@ -106,8 +106,9 @@ class EventPanelResult:
 
     aar is the cap-weighted average abnormal return, car its running sum
     from the window start, z the cross-sectional sum of standardized
-    abnormal returns scaled by sqrt(1/n_t), and cz_full_window the
-    time-cumulated z over the whole event window.
+    abnormal returns scaled by sqrt(1/n) over the n firms (every analysed
+    firm has every event day), and cz_full_window the time-cumulated z over
+    the whole event window.
     """
 
     offsets: np.ndarray

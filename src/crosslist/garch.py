@@ -127,9 +127,10 @@ class GarchSimConfig:
     true_gammas: tuple[float, ...]
     length: int
     seed: int
-    instrument_id: str = "sim"
 
     def __post_init__(self) -> None:
+        if len(self.true_mean_coefficients) != 3:
+            raise ValueError(f"true_mean_coefficients must hold 3 entries, got {len(self.true_mean_coefficients)}")
         if len(self.true_alphas) != self.spec.q or len(self.true_gammas) != self.spec.p:
             raise ValueError("true_alphas/true_gammas lengths must match the spec's q and p")
         if self.length < 1:
@@ -595,29 +596,19 @@ def select_lags(
     if include_homoskedastic:
         candidates.insert(0, GarchSpec(p=0, q=0))
 
-    fits: dict[tuple[int, int], GarchFit] = {}
-    last_error: Exception | None = None
-    for spec in candidates:
-        try:
-            fits[(spec.p, spec.q)] = fit_garch_market_model(y, local_index, us_index, spec)
-        except (NonFiniteLikelihood, SeriesTooShort) as exc:
-            last_error = exc
-    if not fits:
-        assert last_error is not None
-        raise last_error
-
-    qualified: list[tuple[int, int]] = []
-    for key, fit in fits.items():
+    # every error the fit raises depends on the window alone, so the first
+    # candidate raises it and the rest are never reached
+    fits = [fit_garch_market_model(y, local_index, us_index, spec) for spec in candidates]
+    qualified = []
+    for fit in fits:
         t = fit.variance_lag_t_stats
         if t.size == 0 or bool(np.all(np.isfinite(t)) and np.all(np.abs(t) >= 1.96)):
-            qualified.append(key)
+            qualified.append(fit)
     if qualified:
-        best = max(qualified, key=lambda key: fits[key].log_likelihood)
-    elif (1, 1) in fits:
-        best = (1, 1)
+        best = max(qualified, key=lambda fit: fit.log_likelihood)
     else:
-        best = max(fits, key=lambda key: fits[key].log_likelihood)
-    return GarchSpec(p=best[0], q=best[1]), fits[best]
+        best = fits[candidates.index(GarchSpec(p=1, q=1))]
+    return best.spec, best
 
 
 def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSeries:
@@ -665,7 +656,7 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSerie
         dates = local_index.dates
     else:
         dates = np.busday_offset(np.datetime64("2001-01-01"), np.arange(T), roll="forward")
-    return ReturnSeries(instrument_id=config.instrument_id, dates=dates, values=X @ beta + np.array(eps))
+    return ReturnSeries(instrument_id="sim", dates=dates, values=X @ beta + np.array(eps))
 
 
 _INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Telecom")
@@ -727,7 +718,6 @@ def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
             true_gammas=(gamma1,),
             length=n_returns,
             seed=int(rng.integers(0, 2**63)),
-            instrument_id=n_code,
         )
         # the manifest's columns, in order
         records.append(InstrumentRecord(

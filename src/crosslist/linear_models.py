@@ -39,7 +39,6 @@ class OlsFit:
     residuals: np.ndarray
     s2: float
     r_squared: float
-    n_obs: int
     xtx_inverse: np.ndarray
 
     @property
@@ -62,26 +61,15 @@ class BreuschGodfreyResult:
     """LM test of serial correlation in regression residuals."""
 
     lm_statistic: float
-    lags: int
     p_value: float
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
     dw_statistic: float
-    dw_assessment: str
     bg_lm_statistic: float
-    bg_lags: int
     bg_p_value: float
     heteroskedastic_5pct: bool
-
-
-@dataclass(frozen=True)
-class CapmResult:
-    beta: float
-    risk_free: float
-    market_mean: float
-    expected_return: float
 
 
 def ols_fit(y, regressors) -> OlsFit:
@@ -130,7 +118,6 @@ def ols_fit(y, regressors) -> OlsFit:
         residuals=residuals,
         s2=s2,
         r_squared=float(r_squared),
-        n_obs=n,
         xtx_inverse=(Vt.T / s**2) @ Vt,
     )
 
@@ -166,7 +153,7 @@ def breusch_godfrey(fit: OlsFit, regressors, lags: int = 1) -> BreuschGodfreyRes
         raise ValueError(f"lags must be >= 1, got {lags}")
     cols = [np.asarray(r, dtype=float).ravel() for r in regressors]
     e = fit.residuals
-    n = fit.n_obs
+    n = e.shape[0]
     if lags >= n - len(cols) - 1:
         raise TooManyLags(f"lags {lags} too large for {n} observations and {len(cols)} regressors")
     if fit.s2 == 0.0 or float(e @ e) == 0.0:
@@ -178,36 +165,24 @@ def breusch_godfrey(fit: OlsFit, regressors, lags: int = 1) -> BreuschGodfreyRes
         lagged.append(col)
     aux = ols_fit(e, cols + lagged)
     lm = n * aux.r_squared
-    return BreuschGodfreyResult(
-        lm_statistic=float(lm),
-        lags=lags,
-        p_value=float(chdtrc(lags, lm)),
-    )
+    return BreuschGodfreyResult(lm_statistic=float(lm), p_value=float(chdtrc(lags, lm)))
 
 
 def diagnostics_report(fit: OlsFit, regressors, lags: int = 1) -> DiagnosticsReport:
-    dw = durbin_watson(fit.residuals)
     bg = breusch_godfrey(fit, regressors, lags)
     return DiagnosticsReport(
-        dw_statistic=dw,
-        dw_assessment=classify_durbin_watson(dw),
+        dw_statistic=durbin_watson(fit.residuals),
         bg_lm_statistic=bg.lm_statistic,
-        bg_lags=bg.lags,
         bg_p_value=bg.p_value,
         heteroskedastic_5pct=bg.p_value < 0.05,
     )
 
 
-def capm_expected_return(beta: float, risk_free: float, market_mean: float) -> CapmResult:
+def capm_expected_return(beta: float, risk_free: float, market_mean: float) -> float:
     """E(R) = R_f + beta * (R_market - R_f), all rates per period."""
     if not all(math.isfinite(v) for v in (beta, risk_free, market_mean)):
         raise ValueError("beta, risk_free, and market_mean must be finite")
-    return CapmResult(
-        beta=beta,
-        risk_free=risk_free,
-        market_mean=market_mean,
-        expected_return=risk_free + beta * (market_mean - risk_free),
-    )
+    return risk_free + beta * (market_mean - risk_free)
 
 
 def prediction_se(fit: OlsFit, new_rows) -> float | np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtr, fdtrc
 
-from .errors import DegenerateSample, SeriesTooShort
-from .market_data import PriceSeries, _DatedSeries
+from .errors import DegenerateSample
+from .market_data import _DatedSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,17 +33,6 @@ class FTestResult:
     df_den: int
     p_value: float
     significant_5pct: bool
-
-
-def log_returns(prices: PriceSeries) -> ReturnSeries:
-    """Per-period log returns ln(P_t) - ln(P_{t-1}), dated by the later close."""
-    if len(prices) < 2:
-        raise SeriesTooShort(f"{prices.instrument_id}: need >= 2 prices, got {len(prices)}")
-    return ReturnSeries(
-        instrument_id=prices.instrument_id,
-        dates=prices.dates[1:],
-        values=np.diff(np.log(prices.closes)),
-    )
 
 
 def variance_f_test(sample_a, sample_b) -> FTestResult:

@@ -710,9 +710,31 @@ class TestConfigParsing:
         (tmp_path / "run.ini").write_text("[windows]\nestimation = -10,-5\n", encoding="utf-8")
         assert main(["validate", "--config", str(tmp_path / "run.ini")]) == 2
 
-    def test_bad_max_lags_flag(self, tmp_path):
+    def test_bad_max_lags_flag(self, tmp_path, capsys):
+        # the error names the flag, the config key it overrides and the value
         (tmp_path / "run.ini").write_text("[data]\n", encoding="utf-8")
-        assert main(["validate", "--config", str(tmp_path / "run.ini"), "--max-lags", "9,9"]) == 2
+        for lags, expected in (
+            ("9,9", "garch.max_p must be in [1, 2], got 9"),
+            ("3,1", "garch.max_p must be in [1, 2], got 3"),
+            ("0,1", "garch.max_p must be in [1, 2], got 0"),
+            ("1,3", "garch.max_q must be in [1, 2], got 3"),
+        ):
+            assert main(["validate", "--config", str(tmp_path / "run.ini"), "--max-lags", lags]) == 2
+            assert capsys.readouterr() == ("", f"error: --max-lags: {expected}\n")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[garch]\nmax_p = 3\n", "garch.max_p must be in [1, 2], got 3"),
+            ("[garch]\nmax_q = 0\n", "garch.max_q must be in [1, 2], got 0"),
+            ("[capm]\nperiod = weekly\n", "capm.period must be one of ['daily', 'monthly'], got 'weekly'"),
+            ("[windows]\nevent = -5\n", "windows.event must be 2 comma-separated integers, got '-5'"),
+        ],
+    )
+    def test_bad_config_value_names_the_file_and_key(self, tmp_path, capsys, text, expected):
+        (tmp_path / "run.ini").write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(tmp_path / "run.ini")]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'run.ini'}: {expected}\n")
 
     def test_bad_interpolation_in_windows_is_config_error(self, tmp_path, capsys):
         (tmp_path / "run.ini").write_text("[windows]\nestimation = 5%\n", encoding="utf-8")

@@ -517,11 +517,17 @@ class TestFitRecovery:
         flat = fit_garch_market_model(sim.values, loc, us, GarchSpec(0, 0))
         assert full.log_likelihood > flat.log_likelihood + 10.0
 
-    def test_series_too_short(self):
+    @pytest.mark.parametrize("search", [False, True])
+    def test_series_too_short(self, search):
+        # the search raises the window's error from its first candidate
         rng = np.random.default_rng(29)
         loc, us = make_indexes(rng, 59)
+        y = np.zeros(59) + 0.01 * loc
         with pytest.raises(SeriesTooShort):
-            fit_garch_market_model(np.zeros(59) + 0.01 * loc, loc, us)
+            if search:
+                select_lags(y, loc, us, max_p=2, max_q=2)
+            else:
+                fit_garch_market_model(y, loc, us)
 
     @pytest.mark.parametrize("shape", ["zero", "linear"])
     @pytest.mark.parametrize("search", [False, True])
@@ -800,6 +806,18 @@ class TestSpecValidation:
                 true_mean_coefficients=(0.0, 0.5, 0.5),
                 true_alpha0=1e-5,
                 true_alphas=(0.1, 0.1),
+                true_gammas=(0.8,),
+                length=100,
+                seed=1,
+            )
+        # a mean equation with the wrong number of coefficients is refused on
+        # construction, naming the field, rather than failing inside simulate_garch
+        with pytest.raises(ValueError, match="true_mean_coefficients must hold 3 entries"):
+            GarchSimConfig(
+                spec=GarchSpec(1, 1),
+                true_mean_coefficients=(0.0, 0.5),
+                true_alpha0=1e-5,
+                true_alphas=(0.1,),
                 true_gammas=(0.8,),
                 length=100,
                 seed=1,

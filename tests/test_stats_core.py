@@ -1,4 +1,4 @@
-"""Log returns and the two-sided variance F-test."""
+"""The two-sided variance F-test and the ReturnSeries contract."""
 
 from datetime import date
 
@@ -6,54 +6,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from crosslist.errors import DegenerateSample, SeriesTooShort
-from crosslist.market_data import PriceSeries
-from crosslist.stats_core import ReturnSeries, log_returns, variance_f_test
+from crosslist.errors import DegenerateSample
+from crosslist.stats_core import ReturnSeries, variance_f_test
 
 from .test_market_data import weekday_dates
-
-# ln(1.1) evaluated at 30 digits with mpmath, rounded to double
-LN_1_1 = 0.09531017980432487
-
-
-def price_series(closes, start=date(2006, 1, 2)):
-    closes = np.asarray(closes, dtype=float)
-    dates = tuple(weekday_dates(start, closes.shape[0]))
-    return PriceSeries("x", dates, closes)
 
 
 def return_series(values, start=date(2006, 1, 2)):
     values = np.asarray(values, dtype=float)
     dates = tuple(weekday_dates(start, values.shape[0]))
     return ReturnSeries("x", dates, values)
-
-
-class TestLogReturns:
-    def test_constant_prices(self):
-        out = log_returns(price_series([100.0, 100.0, 100.0]))
-        assert out.values.tolist() == [0.0, 0.0]
-        assert len(out.dates) == 2
-
-    def test_ten_percent_move(self):
-        out = log_returns(price_series([100.0, 110.0]))
-        assert out.values[0] == pytest.approx(LN_1_1, rel=1e-15)
-
-    def test_dated_by_later_observation(self):
-        prices = price_series([100.0, 101.0, 102.0])
-        out = log_returns(prices)
-        assert out.dates.tolist() == prices.dates[1:].tolist()
-
-    def test_telescoping_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            closes = np.exp(rng.normal(0.0, 0.5, size=rng.integers(2, 400)))
-            prices = price_series(closes)
-            total = log_returns(prices).values.sum()
-            assert total == pytest.approx(np.log(closes[-1] / closes[0]), rel=1e-12, abs=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            log_returns(price_series([100.0]))
 
 
 class TestVarianceFTest:
