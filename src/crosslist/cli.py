@@ -10,41 +10,75 @@ that escapes the command, printed as `error: <message>`).
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import gc
-import math
-import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
+import os
+from contextlib import contextmanager
 
-import numpy as np
+# Any of these set by the user fixes OpenBLAS's thread count, and is left alone.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-from . import market_data
-from .errors import ConfigError, CrosslistError
-from .event_study import (
-    EventWindows,
-    OffsetRange,
-    _fmt,
-    _write_csv,
-    run_event_study,
-    write_event_reports,
-)
-from .garch import MAX_VARIANCE_LAGS, simulate_bundle
-from .linear_models import (
-    capm_expected_return,
-    classify_durbin_watson,
-    durbin_watson,
-    ols_fit,
-)
-from .market_data import PriceSeries, align
 
-# Move everything that exists once numpy and scipy are imported into the
-# permanent generation, so the collections run as the interpreter exits skip
-# those objects instead of tearing them down (about 0.13 s of a cold run).
-# Done once at import, not in `main`, which tests and tracers call repeatedly.
-# Only CLI processes import this module; `import crosslist` never freezes.
-gc.freeze()
+@contextmanager
+def _cold_start():
+    """Run the imports below with one BLAS thread and the collector off, then freeze what they made.
+
+    numpy and scipy each load an OpenBLAS that starts one worker thread per
+    CPU unless one of `BLAS_THREAD_VARIABLES` is set.  The package's
+    matrices are too small for OpenBLAS to split, so the workers only add
+    start-up time.  OpenBLAS reads the variable once, as each library
+    loads, so it is set for these imports only and then removed:
+    `os.environ` ends as it began, and no child process or later code sees
+    it.  With the collector off, no collection passes over the objects of
+    the roughly 700 modules as they load; `gc.freeze()` then moves them
+    into the permanent generation, which the later collections, and those
+    run as the interpreter exits, skip (about 0.13 s of a cold run at
+    exit).  Done once at import, not in `main`, which tests and tracers
+    call repeatedly.  Only CLI processes import this module;
+    `import crosslist` never freezes.
+    """
+    preset = any(name in os.environ for name in BLAS_THREAD_VARIABLES)
+    if not preset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if not preset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        if collecting:
+            gc.enable()
+
+
+with _cold_start():
+    import argparse
+    import configparser
+    import math
+    import sys
+    from dataclasses import dataclass, replace
+    from pathlib import Path
+
+    import numpy as np
+
+    from . import market_data
+    from .errors import ConfigError, CrosslistError
+    from .event_study import (
+        EventWindows,
+        OffsetRange,
+        _fmt,
+        _write_csv,
+        run_event_study,
+        write_event_reports,
+    )
+    from .garch import MAX_VARIANCE_LAGS, simulate_bundle
+    from .linear_models import (
+        capm_expected_return,
+        classify_durbin_watson,
+        durbin_watson,
+        ols_fit,
+    )
+    from .market_data import PriceSeries, align
 
 PERIODS_PER_YEAR = {"monthly": 12, "daily": 252}
 
@@ -98,7 +132,7 @@ def load_config(path: str | Path) -> RunConfig:
     # a ";" after whitespace starts a comment, as in README's example; "out;1" stays a value
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not part of the first line
             parser.read_file(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -160,6 +194,15 @@ def _warn(message: str) -> None:
 
 def cmd_validate(config: RunConfig) -> int:
     """Check every configured file: schema, row counts, date ranges, alignment, FX dates."""
+    data_paths = (
+        config.manifest_path, config.local_index_path, config.us_index_path,
+        config.fx_path, config.local_risk_free_path, config.us_risk_free_path,
+    )
+    if all(path is None for path in data_paths):
+        raise ConfigError(
+            "no data files configured (set data manifest, local_index, us_index, fx, "
+            "local_risk_free and/or us_risk_free)"
+        )
     problems = 0
 
     def _problem(label: str, exc: Exception) -> None:

@@ -2,11 +2,12 @@
 
 All loaders validate hard and fail with an error that names the offending
 row, so a batch run never silently drops or patches bad input.  Numeric
-cells accept a decimal comma (normalized to a decimal point at ingest) and
-must be finite; dates must be ISO-8601 `YYYY-MM-DD`; files must be UTF-8.
+cells accept a decimal comma (normalized to a decimal point at ingest),
+must be finite and must be ASCII with no `_`; dates must be ISO-8601
+`YYYY-MM-DD`; files must be UTF-8, and a byte-order mark is dropped.
 
-The dated-value loaders check the file's bytes: the header line, then numpy
-array checks that pin every line to `YYYY-MM-DD,<cell>` (line starts from
+The dated-value loaders check an ASCII file's bytes: the header line, then
+numpy array checks that pin every line to `YYYY-MM-DD,<cell>` (line starts from
 the LF positions, ASCII digits and dashes at the date offsets, one comma per
 line at offset 10, no quote, a CR only before an LF, cells within csv's
 field size limit), then whole columns (numpy's `datetime64[D]` parse of the
@@ -176,6 +177,9 @@ class AlignedPanel(_DatedSeries):
 
 def _to_float(text: str) -> float:
     t = text.strip()
+    # `float` also takes digit-group underscores and non-ASCII digits
+    if not t.isascii() or "_" in t:
+        raise ValueError(f"{text!r} is not an ASCII number")
     if "," in t and "." not in t:
         t = t.replace(",", ".")
     return float(t)
@@ -191,7 +195,8 @@ def _to_date(text: str) -> date:
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[list[str]]:
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        # a UTF-8 byte-order mark is dropped, as it is not part of the header
+        with open(path, newline="", encoding="utf-8-sig") as f:
             rows = [row for row in csv.reader(f) if "".join(row).strip()]
     except UnicodeDecodeError:
         raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
@@ -278,20 +283,23 @@ def _parse_text(
     two cells: the header line is exactly `columns`, and every other line is
     `YYYY-MM-DD,<cell>` ended by LF or CRLF (the last line may have no end),
     where the cell holds no comma, quote or line break and fits csv's field
-    size limit.  `float` drops the padding `_to_float` strips, or fails;
-    numpy parses the dates as `date.fromisoformat` does, except year 0.
+    size limit, and the file is ASCII with no `_` after its header (so a
+    byte-order mark is declined too).  `float` drops the padding `_to_float`
+    strips, or fails; numpy parses the dates as `date.fromisoformat` does,
+    except year 0.
     Declines an empty body, which `_check_rows` names.  Returns the dates
     (`datetime64[D]`) and the values.
     """
     with open(path, "rb") as f:
         data = f.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
     head = data.partition(b"\n")[0]
     if head.removesuffix(b"\r") != ",".join(columns).encode():
         return None
+    # `float` also takes `_` digit separators and non-ASCII digits, which `_to_float`
+    # refuses; the per-row checks name such a cell, or strip non-ASCII padding
+    if not data.isascii() or data.find(b"_", len(head)) != -1:
+        return None
+    text = data.decode("ascii")
     # the header is ASCII, so the body starts at the same offset in the bytes and the text
     body = np.frombuffer(data, np.uint8)[len(head) + 1 :]
     # a line runs from its start to its LF, or to the end of an unended last line

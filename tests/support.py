@@ -262,9 +262,13 @@ def garch_loglik_reference(params, y, X, q, p, h0, score=False):
     return ll, grad
 
 
-def fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
-    """`python ARGS` in a new interpreter that imports this checkout's crosslist."""
+def fresh_python(args, cwd=None, environ=None) -> subprocess.CompletedProcess:
+    """`python ARGS` in a new interpreter that imports this checkout's crosslist.
+
+    `environ` changes the environment it inherits: a name mapped to None is unset.
+    """
     src = str(Path(crosslist.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **(environ or {}), "PYTHONPATH": path}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)

@@ -256,6 +256,18 @@ class TestValidate:
     def test_missing_config(self):
         assert main(["validate", "--config", "/nonexistent/run.ini"]) == 2
 
+    @pytest.mark.parametrize("config", [None, "[data]\n", "[data]\nmanifest =\n\n[capm]\na_prices = a.csv\n"])
+    def test_nothing_to_check_is_config_error(self, tmp_path, monkeypatch, capsys, config):
+        # a run that reads no file must not report that the data passed
+        monkeypatch.chdir(tmp_path)
+        argv = ["validate"]
+        if config is not None:
+            (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+            argv += ["--config", "run.ini"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no data files configured")
+
     def test_non_utf8_price_file(self, tmp_path, capsys):
         out = tmp_path / "bundle"
         main(["simulate", "--out", str(out), "--seed", "7"])
@@ -755,6 +767,12 @@ class TestConfigParsing:
         assert err.startswith("error: ") and ("--out" if source == "flag" else "run.output_dir") in err
         assert config.read_text(encoding="utf-8") == text
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_byte_order_mark_loads_as_without(self, tmp_path):
+        text = "[data]\nmanifest = manifest.csv\n\n[garch]\nmax_p = 2\n"
+        (tmp_path / "plain.ini").write_text(text, encoding="utf-8")
+        (tmp_path / "marked.ini").write_text(text, encoding="utf-8-sig")
+        assert load_config(tmp_path / "marked.ini") == load_config(tmp_path / "plain.ini")
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         sub = tmp_path / "nested"

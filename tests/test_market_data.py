@@ -167,6 +167,23 @@ class TestLoadManifest:
         with pytest.raises(MissingField, match="row 2: market_cap_usd 'nan' is not a finite"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("cap", ["1_5e9", "\u0661\u0662e9"])
+    def test_market_cap_with_digit_separator_or_non_ascii_digits(self, tmp_path, cap):
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            MANIFEST_HEADER + f"\nFirm,600001,AAA,Energy,{cap},2007-01-15,1997-01-15,p.csv\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MissingField, match=f"row 1: market_cap_usd {cap!r} is not a number"):
+            load_manifest(path)
+
+    def test_byte_order_mark_loads_as_without(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_reference_manifest(path)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_manifest(marked) == load_manifest(path)
+
 
 class TestWriteManifest:
     def test_round_trip(self, tmp_path):
@@ -299,11 +316,14 @@ class TestLoadPrices:
             ("2006-01-03,1.5,2\n", MissingField),
             # six bytes, four characters: float drops the ideographic space
             ("2006-01-03,1.5\u3000\n", None),
+            # float reads 15.0 and 12.0; a numeric cell is ASCII with no digit separator
+            ("2006-01-03,1_5\n", MissingField),
+            ("2006-01-03,\u0661\u0662\n", MissingField),
         ],
         ids=[
             "year-0000", "feb-30", "lone-cr", "comma-moved", "separator-pad", "long-cell",
             "last-byte-cr", "quote-in-cell", "non-ascii-digit", "signed-year", "no-comma", "two-commas",
-            "multibyte-cell",
+            "multibyte-cell", "underscore-close", "arabic-indic-close",
         ],
     )
     def test_text_check_traps_match_row_checks(self, tmp_path, body, want):
@@ -354,6 +374,13 @@ class TestLoadPrices:
         path.write_bytes(b"date,close\n2007-01-08,1\n2007-01-09,\xff2\n")
         with pytest.raises(UndecodableFile, match="p.csv"):
             load_prices(path)
+
+    def test_byte_order_mark_loads_as_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_prices(PriceSeries("p", weekday_dates(date(2007, 1, 8), 30), np.arange(1.0, 31.0)), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        original, copy = load_prices(plain), load_prices(marked)
+        assert (copy.dates.tolist(), copy.closes.tolist()) == (original.dates.tolist(), original.closes.tolist())
 
 
 class TestWritePrices:
