@@ -71,7 +71,6 @@ _EXPORTS = {
     ),
     "stats_core": (
         "FTestResult",
-        "ReturnSeries",
         "variance_f_test",
     ),
 }

@@ -35,10 +35,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import OptimizeResult, minimize
 
-from .errors import ConfigError, NonFiniteLikelihood, NonPositivePrice, NonStationaryParameters, SeriesTooShort
+from .errors import (
+    ConfigError,
+    InvalidSeries,
+    NonFiniteLikelihood,
+    NonPositivePrice,
+    NonStationaryParameters,
+    SeriesTooShort,
+)
 from .linear_models import OlsFit, ols_fit
 from .market_data import InstrumentRecord, PriceSeries
-from .stats_core import ReturnSeries
 
 MAX_VARIANCE_LAGS = 2
 MIN_OBSERVATIONS = 60
@@ -118,23 +124,20 @@ class GarchFit:
 
 @dataclass(frozen=True)
 class GarchSimConfig:
-    """Ground-truth process for the simulation oracle."""
+    """Ground-truth process for the simulation oracle: q = len(true_alphas), p = len(true_gammas)."""
 
-    spec: GarchSpec
     true_mean_coefficients: tuple[float, float, float]
     true_alpha0: float
     true_alphas: tuple[float, ...]
     true_gammas: tuple[float, ...]
-    length: int
     seed: int
 
     def __post_init__(self) -> None:
         if len(self.true_mean_coefficients) != 3:
             raise ValueError(f"true_mean_coefficients must hold 3 entries, got {len(self.true_mean_coefficients)}")
-        if len(self.true_alphas) != self.spec.q or len(self.true_gammas) != self.spec.p:
-            raise ValueError("true_alphas/true_gammas lengths must match the spec's q and p")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+        for name, lags in (("true_alphas", self.true_alphas), ("true_gammas", self.true_gammas)):
+            if len(lags) > MAX_VARIANCE_LAGS:
+                raise ValueError(f"{name} must hold at most {MAX_VARIANCE_LAGS} entries, got {len(lags)}")
         _check_stationary(self.true_alpha0, self.true_alphas, self.true_gammas)
 
 
@@ -147,12 +150,6 @@ def _check_stationary(alpha0, alphas, gammas) -> None:
         raise NonStationaryParameters(
             f"sum of alphas and gammas must be < 1, got {sum(alphas) + sum(gammas)}"
         )
-
-
-def _series_values(x) -> np.ndarray:
-    if isinstance(x, ReturnSeries):
-        return x.values
-    return np.asarray(x, dtype=float).ravel()
 
 
 def _variance_filter(gammas, x, trans="N", ab=None) -> np.ndarray:
@@ -553,11 +550,10 @@ def _maximize(yv, loc, us, coefficients, resid_var, q, p):
             best_g = -grad
         return -ll, -grad
 
-    if objective(theta0)[0] >= _BIG:
-        raise NonFiniteLikelihood("log-likelihood is not finite at the starting point")
-
     options = {"maxiter": 500, "gtol": 1e-7}
     res = minimize(objective, theta0, method=_bfgs, options=options)
+    if best_f == np.inf:  # a non-finite start scores zero gradient, so the run stopped there
+        raise NonFiniteLikelihood("log-likelihood is not finite at the starting point")
     # one fresh run when the first is trapped on a simplex face or stalled
     # (a failed line search on a stale inverse Hessian); the better run counts
     start = _reentry_point(lik, best_x)
@@ -611,20 +607,19 @@ def select_lags(
     return best.spec, best
 
 
-def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSeries:
+def simulate_garch(config: GarchSimConfig, local_index, us_index) -> np.ndarray:
     """Simulate the market model with GARCH errors; the verification oracle.
 
-    Deterministic for a fixed seed.  The first conditional variance is the
-    unconditional variance alpha0 / (1 - sum(alphas) - sum(gammas)), and
-    pre-sample lags are pinned at that value.  Index inputs may be
-    ReturnSeries (whose dates carry over) or plain arrays (a weekday grid
-    is synthesized).
+    Returns one return per index return, as a float array.  Deterministic
+    for a fixed seed.  The first conditional variance is the unconditional
+    variance alpha0 / (1 - sum(alphas) - sum(gammas)), and pre-sample lags
+    are pinned at that value.  Raises InvalidSeries unless the index
+    returns are finite, non-empty and of equal length.
     """
-    loc = _series_values(local_index)
-    us = _series_values(us_index)
-    T = config.length
-    if loc.shape[0] != T or us.shape[0] != T:
-        raise ValueError("index series must match config.length")
+    loc, us = (np.asarray(v, dtype=float).ravel() for v in (local_index, us_index))
+    T = loc.shape[0]
+    if not (0 < T == us.shape[0] and np.isfinite(loc).all() and np.isfinite(us).all()):
+        raise InvalidSeries("index returns must be finite, non-empty and of equal length")
     beta = np.asarray(config.true_mean_coefficients, dtype=float)
     alphas = np.asarray(config.true_alphas, dtype=float)
     gammas = np.asarray(config.true_gammas, dtype=float)
@@ -652,11 +647,7 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> ReturnSerie
         ht = alpha0 + a1 * e2_1 + a2 * e2_2 + g1 * h_1 + g2 * h_2
 
     X = np.column_stack([np.ones(T), loc, us])
-    if isinstance(local_index, ReturnSeries):
-        dates = local_index.dates
-    else:
-        dates = np.busday_offset(np.datetime64("2001-01-01"), np.arange(T), roll="forward")
-    return ReturnSeries(instrument_id="sim", dates=dates, values=X @ beta + np.array(eps))
+    return X @ beta + np.array(eps)
 
 
 _INDUSTRIES = ("Energy", "Transport", "Utilities", "Insurance", "Materials", "Telecom")
@@ -692,11 +683,10 @@ def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
     dates = np.busday_offset(np.datetime64("2006-01-02"), np.arange(n_days), roll="forward")
     n_returns = n_days - 1
 
-    # dated index returns: `simulate_garch` takes their dates rather than building a grid per firm
-    loc_ret = ReturnSeries("sse", dates[1:], 0.0002 + 0.012 * rng.standard_normal(n_returns))
-    us_ret = ReturnSeries("nyse", dates[1:], 0.0002 + 0.010 * rng.standard_normal(n_returns))
-    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret.values))
-    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret.values))
+    loc_ret = 0.0002 + 0.012 * rng.standard_normal(n_returns)
+    us_ret = 0.0002 + 0.010 * rng.standard_normal(n_returns)
+    local_index = PriceSeries("sse", dates, _prices_from_returns(100.0, loc_ret))
+    us_index = PriceSeries("nyse", dates, _prices_from_returns(100.0, us_ret))
 
     # each firm simulates from its own seed, so drawing every firm's settings
     # first leaves the bundle generator's sequence as one loop would draw it
@@ -711,12 +701,10 @@ def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
         alpha1, gamma1 = 0.08, 0.85
         event_idx = int(rng.integers(lo, hi + 1))
         firms[n_code] = event_idx, GarchSimConfig(
-            spec=GarchSpec(1, 1),
             true_mean_coefficients=beta,
             true_alpha0=sigma**2 * (1.0 - alpha1 - gamma1),
             true_alphas=(alpha1,),
             true_gammas=(gamma1,),
-            length=n_returns,
             seed=int(rng.integers(0, 2**63)),
         )
         # the manifest's columns, in order
@@ -727,7 +715,7 @@ def simulate_bundle(n_firms: int, n_days: int, effect: float, seed: int):
 
     def prices(rec: InstrumentRecord) -> PriceSeries:
         event_idx, sim_config = firms[rec.n_code]
-        returns = simulate_garch(sim_config, loc_ret, us_ret).values.copy()
+        returns = simulate_garch(sim_config, loc_ret, us_ret)
         returns[event_idx - 1] += effect
         try:
             return PriceSeries(rec.n_code, dates, _prices_from_returns(50.0, returns))

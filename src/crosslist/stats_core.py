@@ -12,16 +12,6 @@ import numpy as np
 from scipy.special import fdtr, fdtrc
 
 from .errors import DegenerateSample
-from .market_data import _DatedSeries
-
-
-@dataclass(frozen=True, eq=False)
-class ReturnSeries(_DatedSeries):
-    """Dated per-period log returns for one instrument or index."""
-
-    instrument_id: str
-    dates: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)

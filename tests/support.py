@@ -181,7 +181,7 @@ def simulate_garch_values_reference(config, loc, us) -> np.ndarray:
     The recursion is the simulator's earlier loop, kept verbatim: the same
     IEEE operations in the same order, so outputs must match bit for bit.
     """
-    T = config.length
+    T = len(loc)
     beta = np.asarray(config.true_mean_coefficients, dtype=float)
     alphas = np.asarray(config.true_alphas, dtype=float)
     gammas = np.asarray(config.true_gammas, dtype=float)

@@ -82,18 +82,16 @@ class TestAcceptance:
             us = 0.01 * rng.standard_normal(5000)
             sim = simulate_garch(
                 GarchSimConfig(
-                    spec=GarchSpec(1, 1),
                     true_mean_coefficients=(0.0002, 0.6, 0.3),
                     true_alpha0=0.1 * 4e-4,  # 0.1 * sigma^2 with sigma = 0.02
                     true_alphas=(0.1,),
                     true_gammas=(0.8,),
-                    length=5000,
                     seed=7000 + seed,
                 ),
                 loc,
                 us,
             )
-            fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+            fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
             if abs(fit.alphas[0] - 0.1) <= 0.05 and abs(fit.gammas[0] - 0.8) <= 0.05:
                 hits += 1
         elapsed = time.perf_counter() - start
@@ -124,18 +122,16 @@ class TestAcceptance:
         alpha0, alpha1, gamma1 = 4e-5, 0.1, 0.8
         sim = simulate_garch(
             GarchSimConfig(
-                spec=GarchSpec(1, 1),
                 true_mean_coefficients=(0.0002, 0.6, 0.3),
                 true_alpha0=alpha0,
                 true_alphas=(alpha1,),
                 true_gammas=(gamma1,),
-                length=T,
                 seed=777,
             ),
             loc,
             us,
         )
-        eps = sim.values - (0.0002 + 0.6 * loc + 0.3 * us)
+        eps = sim - (0.0002 + 0.6 * loc + 0.3 * us)
         target = alpha0 / (1.0 - alpha1 - gamma1)
         rel_err = abs(float(eps.var()) - target) / target
         report(

@@ -1,11 +1,13 @@
 """Event windows, abnormal returns, weighting, aggregation, variance ratios, and the whole study."""
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import date, timedelta
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosslist.errors import (
     EventAfterPanelEnd,
@@ -26,7 +28,7 @@ from crosslist.event_study import (
     study_firm,
     variance_ratio_report,
 )
-from crosslist.garch import MIN_OBSERVATIONS, GarchSimConfig, GarchSpec, simulate_bundle, simulate_garch
+from crosslist.garch import MIN_OBSERVATIONS, GarchSimConfig, simulate_bundle, simulate_garch
 from crosslist.linear_models import ols_fit
 from crosslist.market_data import InstrumentRecord, PriceSeries, RateSeries
 
@@ -308,20 +310,17 @@ class TestStudyFirm:
         T = 2 * day0 + 1
         loc = rng.normal(0, 0.01, T)
         us = rng.normal(0, 0.01, T)
-        sim = simulate_garch(
+        r = simulate_garch(
             GarchSimConfig(
-                spec=GarchSpec(1, 1),
                 true_mean_coefficients=(0.0002, 0.6, 0.3),
                 true_alpha0=0.02**2 * 0.07,
                 true_alphas=(0.08,),
                 true_gammas=(0.85,),
-                length=T,
                 seed=99,
             ),
             loc,
             us,
         )
-        r = sim.values.copy()
         r[day0] += effect
         return r, loc, us, day0, windows
 
@@ -391,18 +390,16 @@ class TestRunEventStudy:
         for i, (code, cap) in enumerate(self.CAPS.items()):
             sim = simulate_garch(
                 GarchSimConfig(
-                    spec=GarchSpec(1, 1),
                     true_mean_coefficients=(0.0, 0.8, 0.4),
                     true_alpha0=0.02**2 * 0.07,
                     true_alphas=(0.08,),
                     true_gammas=(0.85,),
-                    length=self.N_DAYS - 1,
                     seed=100 + i,
                 ),
                 loc,
                 us,
             )
-            prices[code] = PriceSeries(code, dates, closes(sim.values))
+            prices[code] = PriceSeries(code, dates, closes(sim))
             # D lists a month after the last date every series holds
             listing = dates[-1] + timedelta(days=30) if code == "D" else dates[150]
             records.append(replace(record(code, cap), us_listing_date=listing))
@@ -495,3 +492,40 @@ class TestNullRejections:
         lo, hi = Rejections(5, 100).bounds(confidence=0.9)
         assert float(mp.betainc(5, 96, 0, lo, regularized=True)) == pytest.approx(0.05, rel=1e-10)
         assert float(mp.betainc(6, 95, hi, 1, regularized=True)) == pytest.approx(0.05, rel=1e-10)
+
+
+def same_fields(a, b) -> bool:
+    """Whether two results hold the same values bit for bit, field by field, nested results too."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(same_fields(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, str) or a is None:
+        return a == b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestManifestReversal:
+    """A study of the reversed manifest is the study of the manifest, rows reversed."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_reversal_permutes_rows_and_keeps_the_panel(self, seed):
+        records, sse, nyse, prices = simulate_bundle(10, 300, 0.0, seed)
+        windows = EventWindows()
+        forward = run_event_study(records, prices, sse, nyse, None, windows)
+        backward = run_event_study(records[::-1], prices, sse, nyse, None, windows)
+
+        # each firm's fit, returns and diagnostics are its own; only the cap
+        # weights' shared total is summed in the other order
+        assert len(backward.firms) == len(forward.firms)
+        for a, b in zip(forward.firms, backward.firms[::-1]):
+            assert same_fields(replace(a, weight=0.0), replace(b, weight=0.0))
+            assert a.weight == pytest.approx(b.weight, rel=1e-15)
+        assert list(backward.skipped) == list(forward.skipped)[::-1]
+        assert {k: str(v) for k, v in backward.skipped.items()} == {k: str(v) for k, v in forward.skipped.items()}
+        assert len(backward.variance) == len(forward.variance)
+        for a, b in zip(forward.variance, backward.variance[::-1]):
+            assert same_fields(a, b)
+
+        assert np.array_equal(backward.panel.offsets, forward.panel.offsets)
+        for name in ("aar", "car", "z", "cz_full_window"):
+            np.testing.assert_allclose(getattr(backward.panel, name), getattr(forward.panel, name), rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
 """GARCH market-model estimation, lag selection, and the simulation oracle."""
 
+import math
 import warnings
 
 import mpmath as mp
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize, rosen, rosen_der
 
-from crosslist.errors import NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
+from crosslist.errors import InvalidSeries, NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
 from crosslist.garch import (
     _C1,
     _C2,
@@ -55,14 +56,12 @@ def conditional_variances(eps, alpha0, alphas, gammas, h0):
     return lik.h.copy()
 
 
-def sim_config(n, seed, alpha0=4e-5, alphas=(0.1,), gammas=(0.8,), beta=(0.0002, 0.6, 0.3)):
+def sim_config(seed, alpha0=4e-5, alphas=(0.1,), gammas=(0.8,), beta=(0.0002, 0.6, 0.3)):
     return GarchSimConfig(
-        spec=GarchSpec(p=len(gammas), q=len(alphas)),
         true_mean_coefficients=beta,
         true_alpha0=alpha0,
         true_alphas=alphas,
         true_gammas=gammas,
-        length=n,
         seed=seed,
     )
 
@@ -281,19 +280,18 @@ class TestSimulateGarch:
     def test_no_persistence_is_iid_gaussian(self):
         rng = np.random.default_rng(7)
         loc, us = make_indexes(rng, 20000)
-        config = sim_config(20000, seed=1, alpha0=4e-4, alphas=(), gammas=())
+        config = sim_config(seed=1, alpha0=4e-4, alphas=(), gammas=())
         sim = simulate_garch(config, loc, us)
-        eps = sim.values - (0.0002 + 0.6 * loc + 0.3 * us)
+        eps = sim - (0.0002 + 0.6 * loc + 0.3 * us)
         assert eps.mean() == pytest.approx(0.0, abs=3 * 0.02 / np.sqrt(20000))
         assert eps.var() == pytest.approx(4e-4, rel=0.05)
 
     def test_same_seed_reproduces(self):
         rng = np.random.default_rng(9)
         loc, us = make_indexes(rng, 500)
-        a = simulate_garch(sim_config(500, seed=33), loc, us)
-        b = simulate_garch(sim_config(500, seed=33), loc, us)
-        assert a.values.tolist() == b.values.tolist()
-        assert a.dates.tolist() == b.dates.tolist()
+        a = simulate_garch(sim_config(seed=33), loc, us)
+        b = simulate_garch(sim_config(seed=33), loc, us)
+        assert a.tolist() == b.tolist()
 
     # T = 20 outputs of the numpy-scalar recursion this simulator replaced;
     # the Python-float recursion runs the same operations, so they match exactly
@@ -322,8 +320,8 @@ class TestSimulateGarch:
     def test_pinned_output(self, key):
         alphas, gammas, seed = key
         loc, us = np.linspace(-0.02, 0.02, 20), np.linspace(0.01, -0.01, 20)
-        sim = simulate_garch(sim_config(20, seed=seed, alphas=alphas, gammas=gammas), loc, us)
-        assert sim.values.tolist() == self.PINNED[key]
+        sim = simulate_garch(sim_config(seed=seed, alphas=alphas, gammas=gammas), loc, us)
+        assert sim.tolist() == self.PINNED[key]
 
     @pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_branching_loop(self, p, q):
@@ -332,9 +330,9 @@ class TestSimulateGarch:
         gammas = ((), (0.8,), (0.5, 0.3))[p]
         for seed in range(40, 45):
             loc, us = make_indexes(np.random.default_rng(seed), 4999)
-            config = sim_config(4999, seed=seed, alphas=alphas, gammas=gammas)
+            config = sim_config(seed=seed, alphas=alphas, gammas=gammas)
             expected = simulate_garch_values_reference(config, loc, us)
-            assert simulate_garch(config, loc, us).values.tolist() == expected.tolist()
+            assert simulate_garch(config, loc, us).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("p,q", [(0, 2), (2, 0)])
     def test_matches_branching_loop_one_sided(self, p, q):
@@ -342,21 +340,32 @@ class TestSimulateGarch:
         alphas, gammas = ((0.07, 0.05), ()) if q else ((), (0.5, 0.3))
         for seed in range(40, 45):
             loc, us = make_indexes(np.random.default_rng(seed), 4999)
-            config = sim_config(4999, seed=seed, alphas=alphas, gammas=gammas)
+            config = sim_config(seed=seed, alphas=alphas, gammas=gammas)
             expected = simulate_garch_values_reference(config, loc, us)
-            assert simulate_garch(config, loc, us).values.tolist() == expected.tolist()
+            assert simulate_garch(config, loc, us).tolist() == expected.tolist()
 
     def test_non_stationary_rejected(self):
         with pytest.raises(NonStationaryParameters):
-            sim_config(100, seed=1, alphas=(0.3,), gammas=(0.7,))
+            sim_config(seed=1, alphas=(0.3,), gammas=(0.7,))
         with pytest.raises(NonStationaryParameters):
-            sim_config(100, seed=1, alpha0=-1.0)
+            sim_config(seed=1, alpha0=-1.0)
 
     def test_length_must_match_indexes(self):
         rng = np.random.default_rng(11)
         loc, us = make_indexes(rng, 100)
-        with pytest.raises(ValueError):
-            simulate_garch(sim_config(99, seed=1), loc, us)
+        with pytest.raises(InvalidSeries, match="index returns must be finite, non-empty and of equal length"):
+            simulate_garch(sim_config(seed=1), loc, us[:99])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "empty"])
+    def test_non_finite_or_empty_indexes_rejected(self, bad):
+        loc, us = make_indexes(np.random.default_rng(11), 100)
+        if bad == "empty":
+            pairs = [([], [])]
+        else:
+            pairs = [(np.where(np.arange(100) == 7, bad, loc), us), (loc, np.where(np.arange(100) == 7, bad, us))]
+        for pair in pairs:
+            with pytest.raises(InvalidSeries, match="index returns must be finite, non-empty and of equal length"):
+                simulate_garch(sim_config(seed=1), *pair)
 
 
 class TestFitRecovery:
@@ -364,8 +373,8 @@ class TestFitRecovery:
         rng = np.random.default_rng(13)
         for seed in (101, 202, 303):
             loc, us = make_indexes(rng, 3000)
-            sim = simulate_garch(sim_config(3000, seed=seed, alpha0=4e-5), loc, us)
-            fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+            sim = simulate_garch(sim_config(seed=seed, alpha0=4e-5), loc, us)
+            fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
             assert abs(fit.alphas[0] - 0.1) < 0.05
             assert abs(fit.gammas[0] - 0.8) < 0.05
             assert np.all(fit.conditional_variances > 0)
@@ -380,8 +389,8 @@ class TestFitRecovery:
         monkeypatch.setattr("crosslist.garch.minimize", stalled)
         rng = np.random.default_rng(13)
         loc, us = make_indexes(rng, 3000)
-        sim = simulate_garch(sim_config(3000, seed=101, alpha0=4e-5), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+        sim = simulate_garch(sim_config(seed=101, alpha0=4e-5), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
         assert not fit.converged
         assert fit.alphas[0] == pytest.approx(0.05) and fit.gammas[0] == pytest.approx(0.90)
 
@@ -391,16 +400,16 @@ class TestFitRecovery:
         # still rises into the interior (by 0.9 at the re-entered fit)
         rng = np.random.default_rng(8)
         loc, us = make_indexes(rng, 91)
-        sim = simulate_garch(sim_config(91, seed=8), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(2, 2))
+        sim = simulate_garch(sim_config(seed=8), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(2, 2))
         assert fit.gammas[1] > 0.05
 
     def test_stalled_run_restarts(self):
         # one BFGS run ends on a failed line search, 0.24 short in log-likelihood
         rng = np.random.default_rng(9)
         loc, us = make_indexes(rng, 91)
-        sim = simulate_garch(sim_config(91, seed=9), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
+        sim = simulate_garch(sim_config(seed=9), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 2))
         assert fit.converged
 
     def test_face_trapped_run_reenters(self, monkeypatch):
@@ -410,8 +419,8 @@ class TestFitRecovery:
         runs = counted_runs(monkeypatch)
         rng = np.random.default_rng(25)
         loc, us = make_indexes(rng, 91)
-        sim = simulate_garch(sim_config(91, seed=25), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(2, 1))
+        sim = simulate_garch(sim_config(seed=25), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(2, 1))
         assert len(runs) == 2 and runs[0].success
         assert runs[0].fun - runs[1].fun > 1.5
         assert fit.converged and fit.gammas[1] > 0.03
@@ -422,8 +431,8 @@ class TestFitRecovery:
         runs = counted_runs(monkeypatch)
         rng = np.random.default_rng(19)
         loc, us = make_indexes(rng, 91)
-        sim = simulate_garch(sim_config(91, seed=19), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
+        sim = simulate_garch(sim_config(seed=19), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 2))
         assert len(runs) == 2 and not runs[0].success and np.abs(runs[0].jac).max() > 1.0
         assert runs[0].fun - runs[1].fun > 1.5
         assert fit.converged
@@ -443,10 +452,10 @@ class TestFitRecovery:
         monkeypatch.setattr("crosslist.garch.minimize", recorded)
         rng = np.random.default_rng(28)
         loc, us = make_indexes(rng, 91)
-        sim = simulate_garch(sim_config(91, seed=28), loc, us)
+        sim = simulate_garch(sim_config(seed=28), loc, us)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(2, 2))
+            fit = fit_garch_market_model(sim, loc, us, GarchSpec(2, 2))
         assert len(runs) == 2 and np.isfinite(starts[1]).all()
         assert np.abs(runs[1].x[4:] - starts[1][4:]).max() > 0.5
         assert fit.converged
@@ -461,7 +470,7 @@ class TestFitRecovery:
         for w in range(24):
             loc, us = make_indexes(rng, 91)
             if w % 2 == 0:
-                y = simulate_garch(sim_config(91, seed=1100 + w), loc, us).values
+                y = simulate_garch(sim_config(seed=1100 + w), loc, us)
             else:
                 y = 0.0002 + 0.6 * loc + 0.3 * us + 0.02 * rng.standard_normal(91)
             X = np.column_stack([np.ones(91), loc, us])
@@ -488,10 +497,10 @@ class TestFitRecovery:
     def test_standardized_residuals_unit_variance(self):
         rng = np.random.default_rng(17)
         loc, us = make_indexes(rng, 5000)
-        sim = simulate_garch(sim_config(5000, seed=404, alpha0=4e-5), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+        sim = simulate_garch(sim_config(seed=404, alpha0=4e-5), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
         X = np.column_stack([np.ones(5000), loc, us])
-        eps = sim.values - X @ fit.mean_coefficients
+        eps = sim - X @ fit.mean_coefficients
         standardized = eps / np.sqrt(fit.conditional_variances)
         assert 0.9 <= standardized.var() <= 1.1
 
@@ -500,21 +509,21 @@ class TestFitRecovery:
         # can never fall below the homoskedastic-anchored starting point
         rng = np.random.default_rng(19)
         loc, us = make_indexes(rng, 1000)
-        sim = simulate_garch(sim_config(1000, seed=505, alpha0=4e-5), loc, us)
-        base = ols_fit(sim.values, [loc, us])
+        sim = simulate_garch(sim_config(seed=505, alpha0=4e-5), loc, us)
+        base = ols_fit(sim, [loc, us])
         resid_var = float(base.residuals.var(ddof=1))
         X = np.column_stack([np.ones(1000), loc, us])
         start = np.concatenate([base.coefficients, [0.05 * resid_var, 0.05, 0.90]])
-        start_ll = _loglik(_Likelihood(sim.values, X, 1, 1, resid_var), start)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+        start_ll = _loglik(_Likelihood(sim, X, 1, 1, resid_var), start)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
         assert fit.log_likelihood >= start_ll - 1e-9
 
     def test_garch_beats_homoskedastic_on_garch_data(self):
         rng = np.random.default_rng(23)
         loc, us = make_indexes(rng, 3000)
-        sim = simulate_garch(sim_config(3000, seed=606, alpha0=4e-5), loc, us)
-        full = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
-        flat = fit_garch_market_model(sim.values, loc, us, GarchSpec(0, 0))
+        sim = simulate_garch(sim_config(seed=606, alpha0=4e-5), loc, us)
+        full = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
+        flat = fit_garch_market_model(sim, loc, us, GarchSpec(0, 0))
         assert full.log_likelihood > flat.log_likelihood + 10.0
 
     @pytest.mark.parametrize("search", [False, True])
@@ -542,11 +551,41 @@ class TestFitRecovery:
             else:
                 fit_garch_market_model(y, loc, us)
 
+    def test_non_finite_start_raises(self, monkeypatch):
+        # a nan likelihood scores zero gradient, so the first run stops at its
+        # start, after the one evaluation, and the fit refuses it
+        calls = []
+
+        def nan_loglik(lik, theta):
+            calls.append(theta.copy())
+            return math.nan, np.full_like(theta, math.nan)
+
+        monkeypatch.setattr("crosslist.garch._transformed_loglik", nan_loglik)
+        loc, us = make_indexes(np.random.default_rng(5), 91)
+        y = simulate_garch(sim_config(seed=5), loc, us)
+        with pytest.raises(NonFiniteLikelihood, match="not finite at the starting point"):
+            fit_garch_market_model(y, loc, us)
+        assert len(calls) == 1
+
+    def test_every_evaluation_is_an_optimizer_step(self, monkeypatch):
+        # the start is evaluated once, by the first run, not again beforehand
+        calls = []
+
+        def counted_loglik(lik, theta):
+            calls.append(theta.copy())
+            return _transformed_loglik(lik, theta)
+
+        monkeypatch.setattr("crosslist.garch._transformed_loglik", counted_loglik)
+        runs = counted_runs(monkeypatch)
+        loc, us = make_indexes(np.random.default_rng(5), 91)
+        fit_garch_market_model(simulate_garch(sim_config(seed=5), loc, us), loc, us)
+        assert len(calls) == sum(run.nfev for run in runs)
+
     def test_std_error_layout(self):
         rng = np.random.default_rng(31)
         loc, us = make_indexes(rng, 2000)
-        sim = simulate_garch(sim_config(2000, seed=707, alpha0=4e-5), loc, us)
-        fit = fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 1))
+        sim = simulate_garch(sim_config(seed=707, alpha0=4e-5), loc, us)
+        fit = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
         assert fit.std_errors.shape == (3 + 1 + 1 + 1,)
         assert fit.variance_lag_t_stats.shape == (2,)
 
@@ -649,8 +688,8 @@ class TestBfgs:
             # the fit whose first run stops on a failed line search (see TestFitRecovery)
             rng = np.random.default_rng(19)
             loc, us = make_indexes(rng, 91)
-            sim = simulate_garch(sim_config(91, seed=19), loc, us)
-            fit_garch_market_model(sim.values, loc, us, GarchSpec(1, 2))
+            sim = simulate_garch(sim_config(seed=19), loc, us)
+            fit_garch_market_model(sim, loc, us, GarchSpec(1, 2))
             assert len(accepted) > 50
         for f0, d0, a, f, d in accepted:
             assert d0 < 0 and a > 0
@@ -676,7 +715,7 @@ class TestStdErrors:
     def test_match_high_precision_hessian(self, p, q, seed):
         rng = np.random.default_rng(seed)
         loc, us = make_indexes(rng, 91)
-        y = simulate_garch(sim_config(91, seed=seed), loc, us).values
+        y = simulate_garch(sim_config(seed=seed), loc, us)
         fit = fit_garch_market_model(y, loc, us, GarchSpec(p, q))
         coefs = np.concatenate([fit.alphas, fit.gammas])
         assert fit.converged and coefs.min() >= 0.01 and 1.0 - coefs.sum() >= 0.01
@@ -691,7 +730,7 @@ class TestStdErrors:
         # would step to alpha0 < 0, where the likelihood is nan
         rng = np.random.default_rng(37)
         loc, us = make_indexes(rng, 91)
-        y = simulate_garch(sim_config(91, seed=37, alphas=(0.08,), gammas=(0.85,)), loc, us).values
+        y = simulate_garch(sim_config(seed=37, alphas=(0.08,), gammas=(0.85,)), loc, us)
         fit = fit_garch_market_model(y, loc, us, GarchSpec(1, 1))
         coefs = np.concatenate([fit.alphas, fit.gammas])
         assert fit.alpha0 < 1e-13 and coefs.min() > 1e-3 and 1.0 - coefs.sum() > 1e-3
@@ -721,8 +760,8 @@ class TestSelectLags:
     def test_search_set_is_one_one_at_unit_ceiling(self):
         rng = np.random.default_rng(37)
         loc, us = make_indexes(rng, 800)
-        sim = simulate_garch(sim_config(800, seed=808, alpha0=4e-5), loc, us)
-        spec, fit = select_lags(sim.values, loc, us, max_p=1, max_q=1)
+        sim = simulate_garch(sim_config(seed=808, alpha0=4e-5), loc, us)
+        spec, fit = select_lags(sim, loc, us, max_p=1, max_q=1)
         assert (spec.p, spec.q) == (1, 1)
         assert isinstance(fit, GarchFit)
 
@@ -732,8 +771,8 @@ class TestSelectLags:
         n_seeds = 25
         for seed in range(n_seeds):
             loc, us = make_indexes(rng, 1500)
-            sim = simulate_garch(sim_config(1500, seed=900 + seed, alpha0=4e-5), loc, us)
-            spec, _ = select_lags(sim.values, loc, us, max_p=2, max_q=2)
+            sim = simulate_garch(sim_config(seed=900 + seed, alpha0=4e-5), loc, us)
+            spec, _ = select_lags(sim, loc, us, max_p=2, max_q=2)
             hits += (spec.p, spec.q) == (1, 1)
         assert hits / n_seeds >= 0.8
 
@@ -785,9 +824,9 @@ class TestUnconditionalVariance:
     def test_matches_long_simulation(self):
         rng = np.random.default_rng(59)
         loc, us = make_indexes(rng, 50000)
-        config = sim_config(50000, seed=1001, alpha0=4e-5)
+        config = sim_config(seed=1001, alpha0=4e-5)
         sim = simulate_garch(config, loc, us)
-        eps = sim.values - (0.0002 + 0.6 * loc + 0.3 * us)
+        eps = sim - (0.0002 + 0.6 * loc + 0.3 * us)
         target = 4e-5 / (1.0 - 0.1 - 0.8)
         assert eps.var() == pytest.approx(target, rel=0.1)
 
@@ -800,25 +839,18 @@ class TestSpecValidation:
             GarchSpec(p=0, q=-1)
 
     def test_sim_config_consistency(self):
-        with pytest.raises(ValueError):
-            GarchSimConfig(
-                spec=GarchSpec(1, 1),
-                true_mean_coefficients=(0.0, 0.5, 0.5),
-                true_alpha0=1e-5,
-                true_alphas=(0.1, 0.1),
-                true_gammas=(0.8,),
-                length=100,
-                seed=1,
-            )
+        # more lags than MAX_VARIANCE_LAGS on either side are refused, naming the field
+        for name, lags in (("true_alphas", {"true_alphas": (0.1, 0.1, 0.1), "true_gammas": (0.5,)}),
+                           ("true_gammas", {"true_alphas": (0.1,), "true_gammas": (0.2, 0.2, 0.2)})):
+            with pytest.raises(ValueError, match=f"{name} must hold at most 2 entries, got 3"):
+                GarchSimConfig(true_mean_coefficients=(0.0, 0.5, 0.5), true_alpha0=1e-5, seed=1, **lags)
         # a mean equation with the wrong number of coefficients is refused on
         # construction, naming the field, rather than failing inside simulate_garch
         with pytest.raises(ValueError, match="true_mean_coefficients must hold 3 entries"):
             GarchSimConfig(
-                spec=GarchSpec(1, 1),
                 true_mean_coefficients=(0.0, 0.5),
                 true_alpha0=1e-5,
                 true_alphas=(0.1,),
                 true_gammas=(0.8,),
-                length=100,
                 seed=1,
             )

@@ -42,7 +42,6 @@ from crosslist.market_data import (
     write_manifest,
     write_prices,
 )
-from crosslist.stats_core import ReturnSeries
 
 from .support import write_prices_reference
 
@@ -606,18 +605,17 @@ _DAYS = np.array(weekday_dates(date(2006, 1, 2), 4), dtype="datetime64[D]")
 
 
 def _one_of_each(days=_DAYS, values=(1.0, 2.0, 3.0, 4.0), instrument_id="x"):
-    """A series of each of the four dated types, built from fresh copies of `days` and `values`."""
+    """A series of each of the three dated types, built from fresh copies of `days` and `values`."""
     days, values = np.array(days, dtype="datetime64[D]"), np.array(values, dtype=float)
     return [
         PriceSeries(instrument_id, days.copy(), values.copy()),
         RateSeries(days.copy(), values.copy()),
-        ReturnSeries(instrument_id, days.copy(), values.copy()),
         AlignedPanel(days.copy(), (values.copy(), 2.0 * values)),
     ]
 
 
 class TestSeriesContract:
-    """One contract for `PriceSeries`, `RateSeries`, `ReturnSeries` and `AlignedPanel`."""
+    """One contract for `PriceSeries`, `RateSeries` and `AlignedPanel`."""
 
     @pytest.mark.parametrize(
         "dates, values, message",
@@ -657,7 +655,6 @@ class TestSeriesContract:
                 PriceSeries("x", _DAYS, [1.0, 1.0, bad, 1.0])
         signed = [-1.0, 0.0, 1.0, 2.0]
         assert RateSeries(_DAYS, signed).values.tolist() == signed
-        assert ReturnSeries("x", _DAYS, signed).values.tolist() == signed
 
     def test_write_prices_round_trip_is_equal(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -676,8 +673,8 @@ class TestSeriesContract:
         for changed in (later, other):
             for a, b in zip(series, changed, strict=True):
                 assert a != b and not a == b
-        price, _, ret, _ = _one_of_each(instrument_id="y")
-        assert price != series[0] and ret != series[2]
+        price, _, _ = _one_of_each(instrument_id="y")
+        assert price != series[0]
 
     def test_other_types_are_unequal(self):
         series = _one_of_each()
@@ -699,18 +696,18 @@ class TestSeriesContract:
             p.closes[0] = -5.0
         closes[0] = 2.0  # the caller's own array stays writable, and the series shares it
         assert p.closes[0] == 2.0 and np.shares_memory(p.closes, closes)
-        price, rate, ret, panel = _one_of_each()
-        arrays = [price.dates, price.closes, rate.dates, rate.values, ret.dates, ret.values, panel.common_dates]
+        price, rate, panel = _one_of_each()
+        arrays = [price.dates, price.closes, rate.dates, rate.values, panel.common_dates]
         assert not any(a.flags.writeable for a in arrays + list(panel.closes))
 
     def test_replace_checks_again(self):
-        price, rate, ret, panel = _one_of_each()
+        price, rate, panel = _one_of_each()
         with pytest.raises(NonPositivePrice):
             dataclasses.replace(price, closes=-price.closes)
         with pytest.raises(InvalidSeries, match="RateSeries: values must be finite"):
             dataclasses.replace(rate, values=np.full(4, np.nan))
         with pytest.raises(InvalidSeries, match="x: dates must be strictly increasing"):
-            dataclasses.replace(ret, dates=ret.dates[::-1])
+            dataclasses.replace(price, dates=price.dates[::-1])
         with pytest.raises(InvalidSeries, match="AlignedPanel: dates and values must be 1-D arrays of equal"):
             dataclasses.replace(panel, closes=(*panel.closes, np.ones(3)))
 
@@ -771,7 +768,6 @@ class TestDayNumbers:
         dates = (date(999, 12, 30), date(999, 12, 31), date(1000, 1, 1))
         self.assert_dates(PriceSeries("x", dates, np.ones(3)).dates, dates)
         self.assert_dates(RateSeries(dates, np.ones(3)).dates, dates)
-        self.assert_dates(ReturnSeries("x", dates, np.ones(3)).dates, dates)
 
     def test_generate_bundle(self, tmp_path, monkeypatch):
         written = []

@@ -1,21 +1,11 @@
-"""The two-sided variance F-test and the ReturnSeries contract."""
-
-from datetime import date
+"""The two-sided variance F-test."""
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from crosslist.errors import DegenerateSample
-from crosslist.stats_core import ReturnSeries, variance_f_test
-
-from .test_market_data import weekday_dates
-
-
-def return_series(values, start=date(2006, 1, 2)):
-    values = np.asarray(values, dtype=float)
-    dates = tuple(weekday_dates(start, values.shape[0]))
-    return ReturnSeries("x", dates, values)
+from crosslist.stats_core import variance_f_test
 
 
 class TestVarianceFTest:
@@ -85,13 +75,3 @@ class TestVarianceFTest:
         with pytest.raises(DegenerateSample):
             variance_f_test([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
-
-class TestReturnSeriesInvariants:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            return_series([0.1, np.nan])
-
-    def test_rejects_length_mismatch(self):
-        dates = tuple(weekday_dates(date(2006, 1, 2), 3))
-        with pytest.raises(ValueError):
-            ReturnSeries("x", dates, np.array([0.1, 0.2]))
