@@ -308,7 +308,7 @@ def study_firm(
         star=star,
         weight=weight,
         fit=fit,
-        diagnostics=diagnostics_report(fit.ols, [loc_est, us_est]),
+        diagnostics=diagnostics_report(fit.ols),
     )
 
 

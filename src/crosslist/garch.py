@@ -87,10 +87,10 @@ class GarchFit:
     which gives the optimizer's start and the (0, 0) closed form; the event
     study standardizes abnormal returns by its forecast standard error.
 
-    `converged` is True when the BFGS run that counts reported success, or
-    when the sup-norm of the score in the transformed parameters (log
-    alpha0, simplex logits) on the rescaled returns is at most 1e-4 at the
-    returned point.  The homoskedastic closed form is always converged.
+    `converged` is True when the sup-norm of the score in the transformed
+    parameters (log alpha0, simplex logits) on the rescaled returns is at
+    most 1e-4 at the returned point.  The homoskedastic closed form is
+    always converged.
     """
 
     mean_coefficients: np.ndarray
@@ -114,12 +114,9 @@ class GarchFit:
     @property
     def variance_lag_t_stats(self) -> np.ndarray:
         """t statistics of alphas then gammas (the lag-selection criterion)."""
-        q = self.alphas.shape[0]
-        p = self.gammas.shape[0]
         values = np.concatenate([self.alphas, self.gammas])
-        ses = self.std_errors[4 : 4 + q + p] if q + p else np.empty(0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return values / ses
+            return values / self.std_errors[4 : 4 + values.shape[0]]
 
 
 @dataclass(frozen=True)
@@ -179,16 +176,11 @@ def _variance_filter(gammas, x, trans="N", ab=None) -> np.ndarray:
     return y
 
 
-def _beyond_clip(theta) -> bool:
-    """Whether a simplex logit lies outside +/- _Z_CLIP; on a Python list, cheaper than numpy here."""
-    return max(map(abs, theta[4:].tolist()), default=0.0) > _Z_CLIP
-
-
 def _natural(theta) -> np.ndarray:
     """Natural parameters (beta, alpha0, alphas, gammas) as one vector, from transformed ones."""
     params = theta.copy()
     params[3] = math.exp(min(theta[3], 60.0))
-    e = np.exp(params[4:].clip(-_Z_CLIP, _Z_CLIP) if _beyond_clip(theta) else params[4:])
+    e = np.exp(params[4:].clip(-_Z_CLIP, _Z_CLIP))
     params[4:] = e / (1.0 + e.sum())
     return params
 
@@ -200,8 +192,7 @@ def _decode(theta, q, p):
 
 def _encode(beta, alpha0, alphas, gammas) -> np.ndarray:
     c = np.concatenate([alphas, gammas])
-    z = np.log(c / (1.0 - c.sum())) if c.size else np.empty(0)
-    return np.concatenate([beta, [np.log(alpha0)], z])
+    return np.concatenate([beta, [np.log(alpha0)], np.log(c / (1.0 - c.sum()))])
 
 
 def _lag_views(padded, T) -> np.ndarray:
@@ -297,8 +288,7 @@ def _transformed_loglik(lik: _Likelihood, theta):
     gc = grad[4:]
     grad[3] = grad[3] * params[3] if theta[3] <= 60.0 else 0.0
     grad[4:] = coefs * (gc - coefs @ gc)
-    if _beyond_clip(theta):
-        grad[4:][np.abs(theta[4:]) > _Z_CLIP] = 0.0
+    grad[4:][np.abs(theta[4:]) > _Z_CLIP] = 0.0
     return ll, grad
 
 
@@ -470,10 +460,9 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
 
     Otherwise BFGS with the analytic score maximizes the likelihood from a
     fixed start.  One second run follows when the first stops trapped on a
-    face of the simplex (see `_reentry_point`) or without success; the
-    better run counts.  The best point evaluated is returned, so the
-    likelihood never falls below the start's.  `converged` is True when the
-    run that counts reported success, or when the sup-norm of the
+    face of the simplex (see `_reentry_point`) or without success.  The
+    best point evaluated in either run is returned, so the likelihood never
+    falls below the start's.  `converged` is True when the sup-norm of the
     transformed-parameter score at the returned point is at most 1e-4; a
     fit that stops short is still returned, with converged=False.
     """
@@ -484,7 +473,6 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     if n < MIN_OBSERVATIONS:
         raise SeriesTooShort(f"need >= {MIN_OBSERVATIONS} observations, got {n}")
 
-    X = np.column_stack([np.ones(n), loc, us])
     base = ols_fit(yv, [loc, us])
     resid = base.residuals
     resid_var = float(resid.var(ddof=1))
@@ -492,11 +480,11 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
         raise NonFiniteLikelihood("the OLS fit is exact (zero residuals), or its residual variance is not finite")
     q, p = spec.q, spec.p
 
-    lik = _Likelihood(yv, X, q, p, resid_var)
+    lik = _Likelihood(yv, base.design, q, p, resid_var)
     if p == 0 and q == 0:
         params, converged = np.concatenate([base.coefficients, [float(resid @ resid) / n]]), True
     else:
-        params, converged = _maximize(yv, loc, us, base.coefficients, resid_var, q, p)
+        params, converged = _maximize(yv, base.design, base.coefficients, resid_var, q, p)
     ll = _loglik(lik, params)
     h = lik.h.copy()  # the Hessian's evaluations reuse the buffer
     return GarchFit(
@@ -512,25 +500,20 @@ def fit_garch_market_model(y, local_index, us_index, spec: GarchSpec = GarchSpec
     )
 
 
-def _maximize(yv, loc, us, coefficients, resid_var, q, p):
-    """`fit_garch_market_model`'s BFGS runs, as (natural parameters, converged)."""
+def _maximize(yv, X, coefficients, resid_var, q, p):
+    """`fit_garch_market_model`'s BFGS runs on design `X`, as (natural parameters, converged)."""
     # work on returns rescaled to unit OLS residual variance
-    n = yv.shape[0]
     scale = 1.0 / np.sqrt(resid_var)
-    ys = yv * scale
-    Xs = np.column_stack([np.ones(n), loc * scale, us * scale])
-    lik = _Likelihood(ys, Xs, q, p, 1.0)
+    lik = _Likelihood(yv * scale, X * [1.0, scale, scale], q, p, 1.0)
 
     alphas0 = np.full(q, 0.01)
     if q:
         alphas0[0] = 0.05
     gammas0 = np.full(p, 0.02)
     if p:
-        gammas0[0] = max(0.90 - 0.02 * (p - 1) - 0.01 * max(q - 1, 0), 0.05)
-    if q == 0:
         # without squared-error feedback keep the start mildly persistent
-        gammas0[0] = 0.5
-    alpha0_start = max(1.0 - alphas0.sum() - gammas0.sum(), 1e-6)
+        gammas0[0] = 0.90 - 0.02 * (p - 1) - 0.01 * (q - 1) if q else 0.5
+    alpha0_start = 1.0 - alphas0.sum() - gammas0.sum()
     beta_s = coefficients.copy()
     beta_s[0] *= scale
     theta0 = _encode(beta_s, alpha0_start, alphas0, gammas0)
@@ -555,13 +538,12 @@ def _maximize(yv, loc, us, coefficients, resid_var, q, p):
     if best_f == np.inf:  # a non-finite start scores zero gradient, so the run stopped there
         raise NonFiniteLikelihood("log-likelihood is not finite at the starting point")
     # one fresh run when the first is trapped on a simplex face or stalled
-    # (a failed line search on a stale inverse Hessian); the better run counts
+    # (a failed line search on a stale inverse Hessian); the best point of
+    # either run is returned
     start = _reentry_point(lik, best_x)
     if start is not None or not res.success:
-        retry = minimize(objective, best_x if start is None else start, method=_bfgs, options=options)
-        if retry.fun < res.fun:
-            res = retry
-    converged = bool(res.success) or float(np.max(np.abs(best_g))) <= _CONVERGED_GTOL
+        minimize(objective, best_x if start is None else start, method=_bfgs, options=options)
+    converged = float(np.max(np.abs(best_g))) <= _CONVERGED_GTOL
 
     beta_hat_s, alpha0_s, alphas_hat, gammas_hat = _decode(best_x, q, p)
     mean_coefficients = beta_hat_s.copy()
@@ -598,7 +580,7 @@ def select_lags(
     qualified = []
     for fit in fits:
         t = fit.variance_lag_t_stats
-        if t.size == 0 or bool(np.all(np.isfinite(t)) and np.all(np.abs(t) >= 1.96)):
+        if np.all(np.isfinite(t)) and np.all(np.abs(t) >= 1.96):
             qualified.append(fit)
     if qualified:
         best = max(qualified, key=lambda fit: fit.log_likelihood)
@@ -625,7 +607,7 @@ def simulate_garch(config: GarchSimConfig, local_index, us_index) -> np.ndarray:
     gammas = np.asarray(config.true_gammas, dtype=float)
     alpha0 = float(config.true_alpha0)
     q, p = alphas.shape[0], gammas.shape[0]
-    uncond = alpha0 / (1.0 - alphas.sum() - gammas.sum()) if q + p else alpha0
+    uncond = alpha0 / (1.0 - alphas.sum() - gammas.sum())
 
     rng = np.random.default_rng(config.seed)
     # the recursion runs on Python floats: the same IEEE operations as on

@@ -29,9 +29,11 @@ DW_NEGATIVE_THRESHOLD = 2.5
 class OlsFit:
     """Least-squares fit of y on an intercept plus the given regressors.
 
-    `xtx_inverse` is the inverse Gram matrix of the intercept-augmented
-    design, kept for forecast-error variances; `s2` is the residual
-    variance with divisor n - k (k = regressors incl. intercept).
+    `design` is the intercept-augmented n x k design, which the residual
+    diagnostics and the GARCH likelihood read; `xtx_inverse` is the
+    inverse of its Gram matrix, kept for forecast-error variances; `s2` is
+    the residual variance with divisor n - k (k = regressors incl.
+    intercept).
     """
 
     alpha: float
@@ -40,6 +42,7 @@ class OlsFit:
     s2: float
     r_squared: float
     xtx_inverse: np.ndarray
+    design: np.ndarray
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -119,6 +122,7 @@ def ols_fit(y, regressors) -> OlsFit:
         s2=s2,
         r_squared=float(r_squared),
         xtx_inverse=(Vt.T / s**2) @ Vt,
+        design=X,
     )
 
 
@@ -142,16 +146,17 @@ def classify_durbin_watson(dw: float) -> str:
     return "none"
 
 
-def breusch_godfrey(fit: OlsFit, regressors, lags: int = 1) -> BreuschGodfreyResult:
+def breusch_godfrey(fit: OlsFit, *, lags: int = 1) -> BreuschGodfreyResult:
     """LM serial-correlation test on the residuals of `fit`.
 
-    Regresses the residuals on the original regressors plus `lags` lagged
-    residuals (zero-padded at the sample start), then LM = n * R^2 of the
-    auxiliary regression, referred to chi-squared with `lags` dof.
+    Regresses the residuals on the fit's own regressors (`fit.design`) plus
+    `lags` lagged residuals (zero-padded at the sample start), then LM =
+    n * R^2 of the auxiliary regression, referred to chi-squared with `lags`
+    dof.
     """
     if lags < 1:
         raise ValueError(f"lags must be >= 1, got {lags}")
-    cols = [np.asarray(r, dtype=float).ravel() for r in regressors]
+    cols = list(fit.design[:, 1:].T)
     e = fit.residuals
     n = e.shape[0]
     if lags >= n - len(cols) - 1:
@@ -168,8 +173,8 @@ def breusch_godfrey(fit: OlsFit, regressors, lags: int = 1) -> BreuschGodfreyRes
     return BreuschGodfreyResult(lm_statistic=float(lm), p_value=float(chdtrc(lags, lm)))
 
 
-def diagnostics_report(fit: OlsFit, regressors, lags: int = 1) -> DiagnosticsReport:
-    bg = breusch_godfrey(fit, regressors, lags)
+def diagnostics_report(fit: OlsFit, *, lags: int = 1) -> DiagnosticsReport:
+    bg = breusch_godfrey(fit, lags=lags)
     return DiagnosticsReport(
         dw_statistic=durbin_watson(fit.residuals),
         bg_lm_statistic=bg.lm_statistic,

@@ -1,7 +1,7 @@
-"""Elementary statistics shared by the estimators.
+"""The two-sided variance F-test behind the event study's variance report.
 
-Sample variances use the n-1 divisor throughout, consistent with the
-degrees of freedom of the two-sample F-test.
+Sample variances use the n-1 divisor, consistent with the degrees of
+freedom of the test.
 """
 
 from __future__ import annotations

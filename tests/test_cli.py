@@ -520,7 +520,7 @@ class TestEventStudy:
             regressors = [loc[est], us[est]]
             ols = ols_fit(returns[est], regressors)
 
-            diag = diagnostics_report(ols, regressors)
+            diag = diagnostics_report(ols)
             reported = summary["diagnostics"][rec.n_code]
             assert reported["dw"] == pytest.approx(diag.dw_statistic, rel=1e-12)
             assert reported["bg_p_value"] == pytest.approx(diag.bg_p_value, rel=1e-12)

@@ -529,3 +529,77 @@ class TestManifestReversal:
         assert np.array_equal(backward.panel.offsets, forward.panel.offsets)
         for name in ("aar", "car", "z", "cz_full_window"):
             np.testing.assert_allclose(getattr(backward.panel, name), getattr(forward.panel, name), rtol=0, atol=1e-12)
+
+
+class TestIndexSwap:
+    """Swapping the two index series swaps the OLS slopes and leaves every other OLS-side number alone.
+
+    The GARCH mean coefficients, and so the ARs and Z, move by up to about
+    1e-8: the optimizer fixes its optimum no closer than that, so inputs that
+    differ by rounding move it that far.  Only the selected spec is compared
+    on that side.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_swapped_indexes_swap_the_slopes(self, seed):
+        records, sse, nyse, prices = simulate_bundle(10, 300, 0.0, seed)
+        windows = EventWindows()
+        base = run_event_study(records, prices, sse, nyse, None, windows)
+        swapped = run_event_study(records, prices, nyse, sse, None, windows)
+
+        assert [res.firm_id for res in swapped.firms] == [res.firm_id for res in base.firms]
+        assert list(swapped.skipped) == list(base.skipped)
+        for a, b in zip(base.firms, swapped.firms):
+            assert b.fit.spec == a.fit.spec
+            np.testing.assert_allclose(b.fit.ols.coefficients, a.fit.ols.coefficients[[0, 2, 1]], rtol=0, atol=1e-12)
+            assert b.diagnostics.dw_statistic == pytest.approx(a.diagnostics.dw_statistic, rel=0, abs=1e-12)
+            assert b.diagnostics.bg_p_value == pytest.approx(a.diagnostics.bg_p_value, rel=0, abs=1e-10)
+        # the variance rows read the firms' own returns alone
+        assert len(swapped.variance) == len(base.variance)
+        for a, b in zip(base.variance, swapped.variance):
+            assert same_fields(a, b)
+
+
+class TestPriceUnit:
+    """A firm's closes in another unit leave the other firms bit for bit, and its own OLS side to rounding.
+
+    Its log returns differ from the original ones by rounding; its GARCH fit
+    moves by up to about 1e-8 (see TestIndexSwap), so on that side only the
+    spec and the `converged` flag are compared.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        firm=st.integers(min_value=0, max_value=9),
+        log10_c=st.floats(min_value=-3.0, max_value=4.0),
+    )
+    def test_rescaled_closes_move_one_firm_by_rounding(self, seed, firm, log10_c):
+        records, sse, nyse, prices = simulate_bundle(10, 300, 0.0, seed)
+        code, c = records[firm].n_code, 10.0**log10_c
+
+        def rescaled(rec):
+            series = prices(rec)
+            return replace(series, closes=series.closes * c) if rec.n_code == code else series
+
+        windows = EventWindows()
+        base = run_event_study(records, prices, sse, nyse, None, windows)
+        moved = run_event_study(records, rescaled, sse, nyse, None, windows)
+
+        assert [res.firm_id for res in moved.firms] == [res.firm_id for res in base.firms]
+        assert list(moved.skipped) == list(base.skipped)
+        for a, b in zip(base.firms, moved.firms):
+            if a.firm_id != code:
+                assert same_fields(a, b)
+                continue
+            assert (b.fit.spec, b.fit.converged) == (a.fit.spec, a.fit.converged)
+            np.testing.assert_allclose(b.fit.ols.coefficients, a.fit.ols.coefficients, rtol=0, atol=1e-12)
+            assert b.diagnostics.dw_statistic == pytest.approx(a.diagnostics.dw_statistic, rel=0, abs=1e-12)
+            assert b.diagnostics.bg_p_value == pytest.approx(a.diagnostics.bg_p_value, rel=0, abs=1e-10)
+        assert len(moved.variance) == len(base.variance)
+        for a, b in zip(base.variance, moved.variance):
+            if a.firm_id != code or a.f_result is None:
+                assert same_fields(a, b)
+            else:
+                assert b.f_result.ratio == pytest.approx(a.f_result.ratio, rel=1e-12, abs=0.0)

@@ -119,15 +119,15 @@ class TestBreuschGodfrey:
         for t in range(1, n):
             e[t] = rho * e[t - 1] + rng.normal()
         y = 1.0 + 0.5 * x + e
-        return ols_fit(y, [x]), [x]
+        return ols_fit(y, [x])
 
     def test_size_under_null(self):
         # iid residuals: the 5% rejection rate must hold within 3 points
         rng = np.random.default_rng(41)
         rejections = 0
         for _ in range(500):
-            fit, regs = self._fit(rng, 500)
-            if breusch_godfrey(fit, regs, lags=1).p_value < 0.05:
+            fit = self._fit(rng, 500)
+            if breusch_godfrey(fit, lags=1).p_value < 0.05:
                 rejections += 1
         assert 0.02 <= rejections / 500 <= 0.08
 
@@ -135,8 +135,8 @@ class TestBreuschGodfrey:
         rng = np.random.default_rng(43)
         strong = 0
         for _ in range(100):
-            fit, regs = self._fit(rng, 500, rho=0.9)
-            if breusch_godfrey(fit, regs, lags=1).p_value < 0.01:
+            fit = self._fit(rng, 500, rho=0.9)
+            if breusch_godfrey(fit, lags=1).p_value < 0.01:
                 strong += 1
         assert strong / 100 > 0.95
 
@@ -147,8 +147,8 @@ class TestBreuschGodfrey:
     def test_p_value_matches_incomplete_gamma_oracle(self, seed, n, rho, lags):
         # chi-squared survival function Q(lags/2, LM/2), at 50 digits; the five
         # points give p-values from 0.56 down to 7e-83
-        fit, regs = self._fit(np.random.default_rng(seed), n, rho)
-        result = breusch_godfrey(fit, regs, lags=lags)
+        fit = self._fit(np.random.default_rng(seed), n, rho)
+        result = breusch_godfrey(fit, lags=lags)
         with mp.workdps(50):
             half_lm = mp.mpf(result.lm_statistic) / 2
             expected = float(mp.gammainc(mp.mpf(lags) / 2, half_lm, mp.inf, regularized=True))
@@ -158,21 +158,21 @@ class TestBreuschGodfrey:
         x = np.arange(10.0)
         fit = ols_fit(2.0 * x, [x])
         with pytest.raises(AllZeroResiduals):
-            breusch_godfrey(fit, [x], lags=1)
+            breusch_godfrey(fit, lags=1)
 
     def test_too_many_lags(self):
         rng = np.random.default_rng(47)
-        fit, regs = self._fit(rng, 10)
+        fit = self._fit(rng, 10)
         with pytest.raises(TooManyLags):
-            breusch_godfrey(fit, regs, lags=8)
+            breusch_godfrey(fit, lags=8)
 
     def test_report_assembly(self):
         rng = np.random.default_rng(53)
-        fit, regs = self._fit(rng, 200)
-        report = diagnostics_report(fit, regs, lags=2)
+        fit = self._fit(rng, 200)
+        report = diagnostics_report(fit, lags=2)
         assert 0.0 <= report.dw_statistic <= 4.0
         assert report.dw_statistic == durbin_watson(fit.residuals)
-        bg = breusch_godfrey(fit, regs, lags=2)
+        bg = breusch_godfrey(fit, lags=2)
         assert (report.bg_lm_statistic, report.bg_p_value) == (bg.lm_statistic, bg.p_value)
         assert report.heteroskedastic_5pct == (report.bg_p_value < 0.05)
 
