@@ -51,6 +51,8 @@ MIN_OBSERVATIONS = 60
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _BIG = 1e10
+# log alpha0's clip: the floor keeps alpha0 = e^theta3 * s^2 a normal double for s^2 > 1e-47
+_LOG_ALPHA0_MIN, _LOG_ALPHA0_MAX = -600.0, 60.0
 _Z_CLIP = 40.0
 # a lag coefficient or the slack 1 - sum(alphas, gammas) below _FACE sits on a
 # face of the simplex; a trapped one re-enters at _REENTRY_MASS (see _reentry_point)
@@ -90,7 +92,8 @@ class GarchFit:
     `converged` is True when the sup-norm of the score in the transformed
     parameters (log alpha0, simplex logits) on the rescaled returns is at
     most 1e-4 at the returned point.  The homoskedastic closed form is
-    always converged.
+    always converged.  alpha0 > 0 and the log-likelihood is finite on every
+    fit: the optimizer clips log alpha0 to [-600, 60] and the logits to +/- 40.
     """
 
     mean_coefficients: np.ndarray
@@ -177,17 +180,12 @@ def _variance_filter(gammas, x, trans="N", ab=None) -> np.ndarray:
 
 
 def _natural(theta) -> np.ndarray:
-    """Natural parameters (beta, alpha0, alphas, gammas) as one vector, from transformed ones."""
+    """Natural parameters (beta, alpha0 > 0, alphas, gammas), log alpha0 in [-600, 60] and logits in +/- 40."""
     params = theta.copy()
-    params[3] = math.exp(min(theta[3], 60.0))
+    params[3] = math.exp(min(max(theta[3], _LOG_ALPHA0_MIN), _LOG_ALPHA0_MAX))
     e = np.exp(params[4:].clip(-_Z_CLIP, _Z_CLIP))
     params[4:] = e / (1.0 + e.sum())
     return params
-
-
-def _decode(theta, q, p):
-    params = _natural(theta)
-    return params[:3], float(params[3]), params[4 : 4 + q], params[4 + q :]
 
 
 def _encode(beta, alpha0, alphas, gammas) -> np.ndarray:
@@ -279,14 +277,14 @@ def _transformed_loglik(lik: _Likelihood, theta):
     """Log-likelihood at transformed parameters and its gradient in them.
 
     The natural-parameter score is chained through `_natural`'s log and
-    simplex maps.  A clipped coordinate (theta[3] above 60, or z outside
-    +/- _Z_CLIP) has zero gradient, as the decoded parameters do not move.
+    simplex maps.  A clipped coordinate (theta[3] outside [-600, 60], or z
+    outside +/- _Z_CLIP) has zero gradient, as the natural parameters do not move.
     """
     params = _natural(theta)
     ll, grad = _loglik(lik, params, score=True)
     coefs = params[4:]
     gc = grad[4:]
-    grad[3] = grad[3] * params[3] if theta[3] <= 60.0 else 0.0
+    grad[3] = grad[3] * params[3] if _LOG_ALPHA0_MIN <= theta[3] <= _LOG_ALPHA0_MAX else 0.0
     grad[4:] = coefs * (gc - coefs @ gc)
     grad[4:][np.abs(theta[4:]) > _Z_CLIP] = 0.0
     return ll, grad
@@ -545,10 +543,10 @@ def _maximize(yv, X, coefficients, resid_var, q, p):
         minimize(objective, best_x if start is None else start, method=_bfgs, options=options)
     converged = float(np.max(np.abs(best_g))) <= _CONVERGED_GTOL
 
-    beta_hat_s, alpha0_s, alphas_hat, gammas_hat = _decode(best_x, q, p)
-    mean_coefficients = beta_hat_s.copy()
-    mean_coefficients[0] /= scale
-    return np.concatenate([mean_coefficients, [alpha0_s / scale**2], alphas_hat, gammas_hat]), converged
+    params = _natural(best_x)
+    params[0] /= scale
+    params[3] /= scale**2
+    return params, converged
 
 
 def select_lags(

@@ -256,6 +256,16 @@ class TestValidate:
     def test_missing_config(self):
         assert main(["validate", "--config", "/nonexistent/run.ini"]) == 2
 
+    def test_firm_sharing_no_date_with_the_indexes(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        main(["simulate", "--out", str(out), "--seed", "7"])
+        write_price_csv(out / "prices_F03.csv", np.full(200, 50.0), start=date(1990, 1, 1))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(out / "run.ini")]) == 2
+        assert capsys.readouterr().err == (
+            "error: alignment[F03]: input series share no trading dates\nvalidation failed: 1 problem(s)\n"
+        )
+
     @pytest.mark.parametrize("config", [None, "[data]\n", "[data]\nmanifest =\n\n[capm]\na_prices = a.csv\n"])
     def test_nothing_to_check_is_config_error(self, tmp_path, monkeypatch, capsys, config):
         # a run that reads no file must not report that the data passed
@@ -407,6 +417,17 @@ class TestCapm:
         assert main(["capm", "--config", str(config)]) == 0
         assert capsys.readouterr().err == f"class N skipped: {tmp_path / 'n_stock.csv'}: no rows after the header\n"
         assert [r["class"] for r in read_csv(tmp_path / "out" / "capm.csv")] == ["A"]
+
+    def test_class_without_index_is_skipped_other_kept(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        closes = np.concatenate([[100.0], 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, 120)))])
+        config = self._write_bundle(tmp_path, closes, closes)
+        text = config.read_text(encoding="utf-8").replace("local_index = index.csv\n", "")
+        text = text.replace("[data]\n", "[data]\nus_index = index.csv\nus_risk_free = rf.csv\n")
+        config.write_text(text.replace("[capm]\n", "[capm]\nn_prices = stock.csv\n"), encoding="utf-8")
+        assert main(["capm", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == "class A skipped: no index series configured\n"
+        assert [r["class"] for r in read_csv(tmp_path / "out" / "capm.csv")] == ["N"]
 
     def test_class_without_risk_free_is_named_once(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
@@ -621,6 +642,14 @@ class TestEventStudy:
         assert summary["skipped"] == {"F01": f"{path}: no rows after the header"}
         assert summary["n_firms_analyzed"] == 1 and list(summary["diagnostics"]) == ["F00"]
 
+    def test_header_only_manifest_is_analysis_failure(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=43)
+        (out / "manifest.csv").write_text(",".join(MANIFEST_COLUMNS) + "\n", encoding="utf-8")
+        assert main(["event-study", "--config", str(out / "run.ini")]) == 1
+        assert capsys.readouterr().err == "event-study failed: manifest has no instruments\n"
+        assert not (out / "reports").exists()
+
     def test_all_firms_skipped_is_analysis_failure(self, tmp_path):
         out = tmp_path / "bundle"
         generate_bundle(out, n_firms=2, n_days=300, effect=0.0, seed=43)
@@ -733,6 +762,11 @@ class TestConfigParsing:
         ):
             assert main(["validate", "--config", str(tmp_path / "run.ini"), "--max-lags", lags]) == 2
             assert capsys.readouterr() == ("", f"error: --max-lags: {expected}\n")
+
+    def test_max_lags_flag_not_two_integers(self, tmp_path, capsys):
+        (tmp_path / "run.ini").write_text("[data]\n", encoding="utf-8")
+        assert main(["validate", "--config", str(tmp_path / "run.ini"), "--max-lags", "1,x"]) == 2
+        assert capsys.readouterr() == ("", "error: --max-lags must be 2 comma-separated integers, got '1,x'\n")
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -125,6 +125,18 @@ class TestAbnormalReturns:
         ar = abnormal_returns([np.nan, 0.01], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0, 1.0])
         assert np.isnan(ar[0]) and np.isfinite(ar[1])
 
+    @pytest.mark.parametrize(
+        "returns, coefficients, error, message",
+        [
+            ([0.0, 0.0], [0.0, 1.0, 1.0], MisalignedOffsets, "must have equal length"),
+            ([0.0, 0.0, 0.0], [0.0, 1.0], ValueError, "mean_coefficients must have 3 entries, got 2"),
+        ],
+        ids=["unequal-lengths", "two-coefficients"],
+    )
+    def test_bad_input_raises(self, returns, coefficients, error, message):
+        with pytest.raises(error, match=message):
+            abnormal_returns(returns, [0.0] * 3, [0.0] * 3, coefficients)
+
 
 class TestCapWeights:
     def test_singleton(self):
@@ -185,6 +197,11 @@ class TestStandardize:
         with pytest.raises(ExactFitNoVariance):
             standardize(np.zeros(3), exact, loc[:3], us[:3])
 
+    def test_unequal_lengths_raise(self):
+        fit, loc, us = self._fit(np.random.default_rng(7))
+        with pytest.raises(MisalignedOffsets, match="must have equal length"):
+            standardize(np.zeros(30), fit, loc[:31], us[:31])
+
 
 class TestAggregate:
     def test_single_firm_collapse(self):
@@ -235,6 +252,19 @@ class TestAggregate:
         expected = panel.z.sum() * np.sqrt(1.0 / panel.z.shape[0])
         assert panel.cz_full_window == pytest.approx(expected, rel=1e-12)
         assert panel.cumulative_z(-15, 15) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lo, hi, error, message",
+        [
+            (2, 1, ValueError, r"range \[2, 1\] is not ordered"),
+            (-20, 0, WindowOutOfData, r"offsets \[-20, 0\] are not fully covered"),
+        ],
+        ids=["unordered", "before-the-window"],
+    )
+    def test_cumulative_z_bad_range(self, lo, hi, error, message):
+        panel = aggregate(simulate_panel(np.random.default_rng(29), n_firms=5), EventWindows())
+        with pytest.raises(error, match=message):
+            panel.cumulative_z(lo, hi)
 
     def test_misaligned_offsets(self):
         rng = np.random.default_rng(37)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize, rosen, rosen_der
 
 from crosslist.errors import InvalidSeries, NonFiniteLikelihood, NonStationaryParameters, SeriesTooShort
+from crosslist.event_study import EventWindows, _window
 from crosslist.garch import (
     _C1,
     _C2,
@@ -16,19 +17,21 @@ from crosslist.garch import (
     GarchSimConfig,
     GarchSpec,
     _bfgs,
-    _decode,
     _encode,
     _Likelihood,
     _loglik,
+    _natural,
     _transformed_loglik,
     _variance_filter,
     _wolfe_step,
     fit_garch_market_model,
     select_lags,
+    simulate_bundle,
     simulate_garch,
     unconditional_variance,
 )
 from crosslist.linear_models import ols_fit
+from crosslist.market_data import align, build_event_frame
 
 from .support import garch_loglik_reference, simulate_garch_values_reference
 
@@ -198,15 +201,26 @@ class TestScore:
     def test_clipped_coordinates_have_zero_gradient(self):
         y, X = self.window()
         params = self.natural_point(2, 2)
-        theta = _encode(params[:3], params[3], params[4:6], params[6:])
-        theta[3] = 61.0  # log alpha0 beyond its cap of 60
-        theta[4] = -45.0  # alphas[0] logit beyond the clip
         lik = _Likelihood(y, X, 2, 2, self.H0)
-        _, grad = _transformed_loglik(lik, theta)
-        assert grad[3] == 0.0 and grad[4] == 0.0
-        numeric = central_difference(lambda t: _transformed_loglik(lik, t)[0], theta)
-        assert numeric[3] == 0.0 and numeric[4] == 0.0
-        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+        for log_alpha0 in (61.0, -601.0):  # log alpha0 beyond its cap of 60, and below its floor of -600
+            theta = _encode(params[:3], params[3], params[4:6], params[6:])
+            theta[3] = log_alpha0
+            theta[4] = -45.0  # alphas[0] logit beyond the clip
+            _, grad = _transformed_loglik(lik, theta)
+            assert grad[3] == 0.0 and grad[4] == 0.0
+            numeric = central_difference(lambda t: _transformed_loglik(lik, t)[0], theta)
+            assert numeric[3] == 0.0 and numeric[4] == 0.0
+            np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("p,q", SPECS)
+    def test_zero_alpha0_is_nan(self, p, q):
+        y, X = self.window()
+        params = self.natural_point(p, q)
+        params[3] = 0.0
+        lik = _Likelihood(y, X, q, p, self.H0)
+        assert math.isnan(_loglik(lik, params))
+        ll, grad = _loglik(lik, params, score=True)
+        assert math.isnan(ll) and grad.shape == params.shape and np.isnan(grad).all()
 
 
 class TestAdjointScore:
@@ -483,8 +497,7 @@ class TestFitRecovery:
                 theta[4:] = np.clip(theta[4:], -40.0, 40.0)
 
                 def negll(t):
-                    beta, a0, al, ga = _decode(t, q, p)
-                    v = _loglik(lik, np.concatenate([beta, [a0], al, ga]))
+                    v = _loglik(lik, _natural(t))
                     return -v if np.isfinite(v) else np.inf
 
                 nm = minimize(
@@ -525,6 +538,11 @@ class TestFitRecovery:
         full = fit_garch_market_model(sim, loc, us, GarchSpec(1, 1))
         flat = fit_garch_market_model(sim, loc, us, GarchSpec(0, 0))
         assert full.log_likelihood > flat.log_likelihood + 10.0
+
+    def test_unequal_lengths_raise(self):
+        loc, us = make_indexes(np.random.default_rng(29), 91)
+        with pytest.raises(ValueError, match="must have equal length"):
+            fit_garch_market_model(0.01 * loc[:90], loc, us)
 
     @pytest.mark.parametrize("search", [False, True])
     def test_series_too_short(self, search):
@@ -634,6 +652,28 @@ def mp_std_errors(params, y, X, q, p, h0):
                 ) / (4 * steps[i] * steps[j])
         cov = mp.inverse(-H)
         return np.array([float(mp.sqrt(cov[i, i])) for i in range(k)])
+
+
+def bundle_estimation_window(seed, n_code):
+    """Firm `n_code`'s default estimation window in `simulate_bundle(10, 300, 0.0, seed)`, sliced as `run_event_study` does."""
+    records, sse, nyse, prices = simulate_bundle(10, 300, 0.0, seed)
+    rec = next(r for r in records if r.n_code == n_code)
+    panel = align([prices(rec), sse, nyse])
+    day0 = build_event_frame(panel, rec.us_listing_date) - 1
+    return [_window(np.diff(np.log(v)), day0, EventWindows().estimation) for v in panel.closes]
+
+
+class TestLogAlpha0Floor:
+    # windows whose two-lag fit runs down the flat alpha0 -> 0 ridge; without
+    # a floor on log alpha0 BFGS took it to about -745, where e^theta3 is
+    # subnormal and alpha0 came back as 0 with a nan log-likelihood
+    @pytest.mark.parametrize(
+        "seed, n_code, p, q",
+        [(3, "F02", 2, 1), (11, "F07", 2, 1), (13, "F06", 1, 2), (42, "F00", 2, 1), (55, "F08", 2, 1)],
+    )
+    def test_alpha0_positive_and_likelihood_finite(self, seed, n_code, p, q):
+        fit = fit_garch_market_model(*bundle_estimation_window(seed, n_code), GarchSpec(p, q))
+        assert fit.alpha0 > 0.0 and math.isfinite(fit.log_likelihood) and fit.converged
 
 
 class TestBfgs:
@@ -837,6 +877,12 @@ class TestSpecValidation:
             GarchSpec(p=3, q=0)
         with pytest.raises(ValueError):
             GarchSpec(p=0, q=-1)
+
+    def test_sim_config_negative_alpha(self):
+        with pytest.raises(NonStationaryParameters, match="alphas and gammas must be nonnegative"):
+            GarchSimConfig(
+                true_mean_coefficients=(0.0, 0.5, 0.5), true_alpha0=1e-5, true_alphas=(-0.1,), true_gammas=(0.8,), seed=1
+            )
 
     def test_sim_config_consistency(self):
         # more lags than MAX_VARIANCE_LAGS on either side are refused, naming the field

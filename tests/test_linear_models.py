@@ -201,6 +201,24 @@ class TestCapm:
             capm_expected_return(float("nan"), 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda fit: ols_fit(np.zeros(10), [np.zeros(10), np.zeros(9)]), "all regressors must have the same length as y"),
+        (lambda fit: durbin_watson([1.0]), "need >= 2 residuals, got 1"),
+        (lambda fit: breusch_godfrey(fit, lags=0), "lags must be >= 1, got 0"),
+        (lambda fit: prediction_se(fit, [0.0, 0.0, 0.0]), r"new_rows must hold rows of 2 entries, got shape \(3,\)"),
+    ],
+    ids=["short-regressor", "one-residual", "zero-lags", "row-too-wide"],
+)
+def test_bad_shape_or_lags_is_value_error(call, message):
+    rng = np.random.default_rng(71)
+    x1, x2 = rng.standard_normal(40), rng.standard_normal(40)
+    fit = ols_fit(0.5 * x1 + rng.standard_normal(40), [x1, x2])
+    with pytest.raises(ValueError, match=message):
+        call(fit)
+
+
 class TestPredictionSe:
     def test_matches_textbook_single_regressor(self):
         # s * sqrt(1 + 1/L + (x - xbar)^2 / sum((x_k - xbar)^2))

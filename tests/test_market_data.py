@@ -496,6 +496,10 @@ class TestAlign:
         assert len(panel.common_dates) == 240
         assert set(panel.common_dates.tolist()) == set(dates_a) & set(dates_b)
 
+    def test_no_series(self):
+        with pytest.raises(ValueError, match="align requires at least one series"):
+            align([])
+
     def test_disjoint_ranges(self):
         a = PriceSeries("a", tuple(weekday_dates(date(2006, 1, 2), 5)), np.ones(5))
         b = PriceSeries("b", tuple(weekday_dates(date(2007, 1, 2), 5)), np.ones(5))

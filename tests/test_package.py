@@ -47,6 +47,10 @@ def test_every_exported_name_resolves_once():
     assert [name for name in names if not hasattr(crosslist, name)] == []
 
 
+def test_dir_lists_every_exported_name():
+    assert set(crosslist.__all__) <= set(dir(crosslist))
+
+
 def test_library_use_never_freezes_the_heap(tmp_path):
     # a cycle alive while the package is imported and used is still collected
     # once dropped, which a `gc.freeze()` would prevent

@@ -2,9 +2,9 @@
 
 Usage: python tools/compare_outputs.py REV
 
-Checks REV out with `git worktree add --detach` into a temporary
-directory, then runs one matrix of `python -m crosslist.cli` commands on
-that tree and on the working tree, each with `PYTHONPATH=<tree>/src`:
+Extracts REV with `git archive` into a temporary directory, then runs
+one matrix of `python -m crosslist.cli` commands on that tree and on the
+working tree, each with `PYTHONPATH=<tree>/src`:
 
 - `simulate --seed S` for S in 1, 3, 4 and 5, then `validate` and
   `event-study` at `--max-lags` 1,1 and 2,2 on each bundle;
@@ -20,12 +20,20 @@ working tree, and shared by both runs.  Every file the commands write is
 compared by sha256, and each command's exit code, stdout and stderr with
 the run, input and tree paths normalised.  Prints what differs, and each
 command that exits non-zero at REV; exits 1 if anything differs, else 0.
-The worktree is removed either way.
+A differing `.csv` or `.json` file's line also gives the largest relative
+change |a - b| / max(|a|, |b|) over the numbers at matching positions
+(cells of a CSV, leaves of a JSON document), and whether any non-numeric
+cell (a flag, a skip reason) or the file's shape differs.  The temporary
+directory is removed either way.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -102,7 +110,62 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
-def differences(base: dict, new: dict, what: str) -> list[str]:
+def cells(path: Path) -> dict:
+    """A CSV's cells by (row, column), or a JSON document's leaves by their key path."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return {(i, j): cell for i, row in enumerate(csv.reader(io.StringIO(text))) for j, cell in enumerate(row)}
+    out = {}
+
+    def walk(node, at):
+        if isinstance(node, (dict, list)) and node:
+            for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(value, at + (key,))
+        else:
+            out[at] = node
+
+    walk(json.loads(text), ())
+    return out
+
+
+def as_number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def how_far(base: Path, new: Path) -> str:
+    """How far a differing report moved: its largest relative change, and whether text or shape moved."""
+    if base.suffix not in (".csv", ".json"):
+        return ""
+    old, cur = cells(base), cells(new)
+    worst, numbers, text_moved = 0.0, 0, False
+    for at in old.keys() & cur.keys():
+        a, b = as_number(old[at]), as_number(cur[at])
+        if a is None or b is None:
+            text_moved |= old[at] != cur[at]
+        else:
+            numbers += 1
+            worst = max(worst, relative_change(a, b))
+    return (
+        f" (largest relative change {worst:.2g} over {numbers} numbers; "
+        f"non-numeric cells {'differ' if text_moved else 'equal'}; "
+        f"{'shape differs' if old.keys() != cur.keys() else 'same shape'})"
+    )
+
+
+def differences(base: dict, new: dict, what: str, detail=lambda key: "") -> list[str]:
     out = []
     for key in sorted(base.keys() | new.keys()):
         if key not in new:
@@ -110,7 +173,7 @@ def differences(base: dict, new: dict, what: str) -> list[str]:
         elif key not in base:
             out.append(f"{what} {key}: only in the working tree")
         elif base[key] != new[key]:
-            out.append(f"{what} {key}: differs")
+            out.append(f"{what} {key}: differs{detail(key)}")
     return out
 
 
@@ -129,17 +192,18 @@ def main(argv: list[str]) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     tree = tmp / "rev"
     try:
-        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--quiet", "--detach", str(tree), rev], check=True)
-        inputs = tmp / "inputs"
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True, stdout=subprocess.PIPE).stdout
+        tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        inputs, run_rev, run_work = tmp / "inputs", tmp / "run-rev", tmp / "run-work"
         write_inputs(inputs)
-        base = run_matrix(tree, tmp / "run-rev", inputs)
-        new = run_matrix(REPO, tmp / "run-work", inputs)
-        files = digests(tmp / "run-rev")
-        found = command_differences(base, new) + differences(files, digests(tmp / "run-work"), "file")
+        base = run_matrix(tree, run_rev, inputs)
+        new = run_matrix(REPO, run_work, inputs)
+        files = digests(run_rev)
+        found = command_differences(base, new) + differences(
+            files, digests(run_work), "file", lambda key: how_far(run_rev / key, run_work / key)
+        )
     finally:
-        if tree.exists():
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)], check=False)
-        subprocess.run(["git", "-C", str(REPO), "worktree", "prune"], check=False)
         shutil.rmtree(tmp, ignore_errors=True)
     for line in found:
         print(line)
